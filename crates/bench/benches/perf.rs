@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use underradar_ids::aho::{find_sub, AhoCorasick};
+use underradar_ids::aho::find_sub;
 use underradar_ids::dfa::PrefilterDfa;
 use underradar_ids::engine::DetectionEngine;
 use underradar_ids::parser::{parse_ruleset, VarTable};
@@ -230,11 +230,8 @@ fn bench_aho_vs_naive() {
         .map(|i| (format!("needle-{i}-xyz").into_bytes(), false))
         .collect();
     let hay = sample_payload(4096);
-    let ac = AhoCorasick::new(&patterns);
-    let ns = measure(500, || ac.matching_patterns(black_box(&hay)));
-    report("aho_corasick_200pat_4KB", ns, Some(hay.len() as u64));
-    // The dense byte-classed DFA the engine actually runs: same automaton,
-    // flattened rows plus a root-row skip loop instead of fail-link chasing.
+    // The dense byte-classed DFA the engine runs: an Aho–Corasick
+    // automaton flattened into rows plus a root-row skip loop.
     let dfa = PrefilterDfa::new(&patterns.iter().map(|(p, _)| p.clone()).collect::<Vec<_>>());
     let ns = measure(2_000, || {
         let mut hits = 0usize;
@@ -759,9 +756,10 @@ fn bench_simulator() {
 /// for every trial. The assertion pins the caching win the campaign
 /// engine's throughput rests on.
 fn bench_campaign() {
-    use underradar_campaign::{engine, CampaignSpec, MethodKind, NamedPolicy};
+    use underradar_campaign::{CampaignSpec, MethodKind, NamedPolicy};
     use underradar_censor::CensorPolicy;
     use underradar_core::testbed::{TargetSite, TestbedConfig, TestbedTemplate};
+    use underradar_runner::run_in_memory;
     println!("campaign");
 
     let targets: Vec<TargetSite> = ["twitter.com", "youtube.com", "bbc.com", "facebook.com"]
@@ -804,8 +802,8 @@ fn bench_campaign() {
          measurably (≥1.1x) faster than re-preparing per trial (got {speedup:.2}x)"
     );
 
-    // End-to-end engine throughput, for the record: a 16-trial scan
-    // campaign over two policies, sequential vs 4 workers.
+    // End-to-end throughput through the run service, for the record: a
+    // 16-trial scan campaign over two policies, sequential vs 4 workers.
     let spec = CampaignSpec::new("bench", 1)
         .targets(["twitter.com", "bbc.com"])
         .method(MethodKind::Scan)
@@ -814,9 +812,10 @@ fn bench_campaign() {
         .trials_per_cell(4)
         .run_secs(30);
     let tel = underradar_telemetry::Telemetry::disabled();
-    let ns = measure(3, || black_box(engine::run(&spec, 1, &tel)));
+    let run = |workers| run_in_memory(&spec, workers, &tel).expect("in-memory campaign run");
+    let ns = measure(3, || black_box(run(1)));
     report("engine_16_scan_trials_sequential", ns, None);
-    let ns = measure(3, || black_box(engine::run(&spec, 4, &tel)));
+    let ns = measure(3, || black_box(run(4)));
     report("engine_16_scan_trials_4_workers", ns, None);
 }
 

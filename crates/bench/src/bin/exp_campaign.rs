@@ -1,6 +1,7 @@
 //! Runs the paper-scale measurement campaign (all 8 methods × 4 censor
-//! policies × 4 targets × 4 seeds = 512 trials) through the campaign
-//! engine.
+//! policies × 4 targets × 4 seeds = 512 trials) through the run service
+//! (`underradar-runner`): work-stealing scheduling, streaming rows, and
+//! (with `--checkpoint`) a crash-safe journal.
 //!
 //! Flags:
 //!
@@ -25,65 +26,78 @@
 //!   would differ trivially).
 //! * `--profile` — print a wall-clock profile footer (prepare/run/score
 //!   stage timings) to stderr; stdout stays deterministic.
-//! * `--profile-json PATH` — write the stage timings (plus, in service
-//!   mode, per-worker busy/attempt counts and steal/retry totals) to
-//!   `PATH` as sorted-key JSON.
+//! * `--profile-json PATH` — write the stage timings plus the service's
+//!   per-worker busy/attempt counts and steal/retry totals to `PATH` as
+//!   sorted-key JSON.
 //! * `--audit` (or `--audit=json`) — run with telemetry enabled and print
 //!   the report followed by the adversary-eye **safety audit**: per-host
 //!   attributability scores reconstructed from the merged `exposure.*`
 //!   registry entries, folded against each cell's declared evasion counts.
 //!   Cells that declared themselves fully evaded while the adversary holds
 //!   attributable events are surfaced as divergences. Byte-identical for
-//!   any `--shards` value and for `--service` vs the plain engine.
-//! * `--progress` (or `--progress=N`, snapshot every `N` trials) — in
-//!   service mode, stream interval snapshots (done/total, rows/sec, ETA,
-//!   per-worker busy fractions, steal/retry counts, journal lag) as JSONL
-//!   on **stderr**; stdout bytes are untouched.
+//!   any `--shards` value.
+//! * `--progress` (or `--progress=N`, snapshot every `N` trials) — stream
+//!   interval snapshots (done/total, rows/sec, ETA, per-worker busy
+//!   fractions, steal/retry counts, journal lag) as JSONL on **stderr**;
+//!   stdout bytes are untouched.
 //! * `--trace-capacity N` (or `UNDERRADAR_TRACE_CAPACITY=N`) — size the
 //!   flight-recorder ring for `--trace` / `--trace-diff` runs.
-//! * `--service` — run through the durable run service
-//!   (`underradar-runner`): work-stealing scheduling, streaming rows, and
-//!   (with `--checkpoint`) a crash-safe journal. The text report is
-//!   byte-identical to the plain engine's at any `--shards` value.
-//! * `--checkpoint PATH` — journal every completed trial to `PATH`
-//!   (implies `--service`). A killed run resumed with the same flags
-//!   skips journaled trials and produces byte-identical final output.
+//! * `--service` — accepted for compatibility and changes nothing: every
+//!   run goes through the run service.
+//! * `--checkpoint PATH` — journal every completed trial to `PATH`. A
+//!   killed run resumed with the same flags skips journaled trials and
+//!   produces byte-identical final output.
 //! * `--synthetic N` — replace the paper matrix with an `N`-trial
-//!   synthetic scale matrix (cheap scan trials; for million-trial
-//!   service runs).
-//! * `--jsonl` — emit one JSON row per trial. In service mode rows
-//!   stream the moment each trial completes (completion order; each row
-//!   carries its `index`); otherwise they print in index order after the
-//!   run.
+//!   synthetic scale matrix (cheap scan trials; for million-trial runs).
+//! * `--jsonl` — emit one JSON row per trial the moment it completes
+//!   (completion order; each row carries its `index`).
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use underradar_bench::cli::{OutputMode, OutputSpec};
 use underradar_bench::experiments::campaign::{paper_campaign, synthetic_campaign};
-use underradar_bench::runner::StageClock;
-use underradar_campaign::engine;
 use underradar_campaign::report::{CampaignReport, CellStat};
 use underradar_campaign::spec::CampaignSpec;
 use underradar_runner::{
-    run_service, JsonlSink, NullSink, ProgressConfig, RowSink, RunConfig, RunProfile,
+    run_service, CollectSink, JsonlSink, NullSink, ProgressConfig, RowSink, RunConfig, RunProfile,
+    ServiceOutcome,
 };
 use underradar_surveil::exposure::{DeclaredCell, ExposureLedger, SafetyAudit};
 use underradar_telemetry::{trace, Registry, Telemetry, TraceRecord, DEFAULT_TRACE_CAPACITY};
 
-fn parse_shards(args: &[String]) -> usize {
-    let mut shards = 1usize;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--shards" {
-            shards = it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("--shards needs a positive integer"));
-        } else if let Some(v) = arg.strip_prefix("--shards=") {
-            shards = v.parse().expect("--shards needs a positive integer");
-        }
+/// Wall-clock accumulator for the named stages of one run (`prepare`,
+/// `run`, `score`), reported by `--profile` and `--profile-json`.
+#[derive(Default)]
+struct StageClock {
+    stages: Mutex<BTreeMap<&'static str, (Duration, u64)>>,
+}
+
+impl StageClock {
+    /// Time `f` under `stage`, accumulating elapsed wall time and a call
+    /// count.
+    fn time<R>(&self, stage: &'static str, f: impl FnOnce() -> R) -> R {
+        let start = Instant::now();
+        let out = f();
+        let elapsed = start.elapsed();
+        let mut stages = self.stages.lock().expect("stage clock poisoned");
+        let entry = stages.entry(stage).or_insert((Duration::ZERO, 0));
+        entry.0 += elapsed;
+        entry.1 += 1;
+        out
     }
-    shards.max(1)
+
+    /// Accumulated `(stage, total, calls)` rows in stage-name order.
+    fn rows(&self) -> Vec<(&'static str, Duration, u64)> {
+        self.stages
+            .lock()
+            .expect("stage clock poisoned")
+            .iter()
+            .map(|(&stage, &(total, calls))| (stage, total, calls))
+            .collect()
+    }
 }
 
 /// The value following `--flag` (or inline `--flag=value`), when present.
@@ -126,9 +140,40 @@ fn trial_decisions(records: &[TraceRecord], index: u64) -> Option<Vec<TraceRecor
         })
 }
 
-fn run_trace_diff(spec: &CampaignSpec, shards: usize, a: u64, b: u64, trace_capacity: usize) {
+/// Run the campaign through the service, or print the cause and exit 1.
+/// With a checkpoint, report on stderr what the journal restored.
+fn run(
+    spec: &CampaignSpec,
+    cfg: &RunConfig,
+    tel: &Telemetry,
+    sink: &mut dyn RowSink,
+    clock: &StageClock,
+) -> ServiceOutcome {
+    let outcome = clock
+        .time("run", || run_service(spec, cfg, tel, sink))
+        .unwrap_or_else(|e| {
+            eprintln!("service run failed: {e}");
+            std::process::exit(1);
+        });
+    if cfg.checkpoint.is_some() {
+        eprintln!(
+            "service: {} executed, {} restored, {} resumed retries, {} journal bytes truncated",
+            outcome.executed, outcome.restored, outcome.resumed_retries, outcome.journal_truncated
+        );
+    }
+    outcome
+}
+
+fn run_trace_diff(
+    spec: &CampaignSpec,
+    cfg: &RunConfig,
+    a: u64,
+    b: u64,
+    trace_capacity: usize,
+    clock: &StageClock,
+) {
     let tel = Telemetry::with_trace(trace_capacity);
-    let _ = engine::run(spec, shards, &tel);
+    run(spec, cfg, &tel, &mut NullSink, clock);
     let snap = tel.snapshot();
     let left = trial_decisions(&snap.trace, a)
         .unwrap_or_else(|| panic!("trial {a} not found in the campaign trace"));
@@ -139,29 +184,6 @@ fn run_trace_diff(spec: &CampaignSpec, shards: usize, a: u64, b: u64, trace_capa
         "{}",
         trace::render_diff(trace::diff(&left, &right).as_ref())
     );
-}
-
-fn run_campaign(
-    spec: &CampaignSpec,
-    shards: usize,
-    tel: &Telemetry,
-    clock: &StageClock,
-) -> CampaignReport {
-    clock.time("run", || engine::run(spec, shards, tel))
-}
-
-/// Collects `(index, row)` pairs so service-mode `--json` can emit rows
-/// in index order even though they complete out of order.
-#[derive(Default)]
-struct IndexedSink {
-    rows: Vec<(usize, String)>,
-}
-
-impl RowSink for IndexedSink {
-    fn row(&mut self, result: &underradar_campaign::TrialResult) -> std::io::Result<()> {
-        self.rows.push((result.index, result.to_json_row()));
-        Ok(())
-    }
 }
 
 /// Reconstruct the campaign-wide exposure ledger from the merged registry,
@@ -187,32 +209,26 @@ fn render_audit(cells: &[CellStat], registry: &Registry, json: bool) -> String {
     }
 }
 
-/// `--profile-json PATH`: stage timings plus (in service mode) the run
-/// profile, as sorted-key JSON.
-fn write_profile_json(path: &str, clock: &StageClock, service: Option<&RunProfile>) {
-    let mut out = String::from("{\"service\":");
-    match service {
-        Some(p) => {
-            let join = |v: &[u64]| {
-                v.iter()
-                    .map(|n| n.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            };
-            out.push_str(&format!(
-                "{{\"prepare_ms\":{},\"retries_seen\":{},\"snapshots\":{},\"steals\":{},\
-                 \"wall_ms\":{},\"worker_attempts\":[{}],\"worker_busy_ns\":[{}]}}",
-                p.prepare_ms,
-                p.retries_seen,
-                p.snapshots,
-                p.steals,
-                p.wall_ms,
-                join(&p.worker_attempts),
-                join(&p.worker_busy_ns)
-            ));
-        }
-        None => out.push_str("null"),
-    }
+/// `--profile-json PATH`: stage timings plus the service's run profile,
+/// as sorted-key JSON.
+fn write_profile_json(path: &str, clock: &StageClock, p: &RunProfile) {
+    let join = |v: &[u64]| {
+        v.iter()
+            .map(|n| n.to_string())
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    let mut out = format!(
+        "{{\"service\":{{\"prepare_ms\":{},\"retries_seen\":{},\"snapshots\":{},\"steals\":{},\
+         \"wall_ms\":{},\"worker_attempts\":[{}],\"worker_busy_ns\":[{}]}}",
+        p.prepare_ms,
+        p.retries_seen,
+        p.snapshots,
+        p.steals,
+        p.wall_ms,
+        join(&p.worker_attempts),
+        join(&p.worker_busy_ns)
+    );
     out.push_str(",\"stages\":{");
     for (i, (stage, total, calls)) in clock.rows().into_iter().enumerate() {
         if i > 0 {
@@ -230,39 +246,26 @@ fn write_profile_json(path: &str, clock: &StageClock, service: Option<&RunProfil
     }
 }
 
-/// `--service`: the durable run path. Rows stream in completion order
-/// under `--jsonl`; every other mode's stdout is byte-identical to the
-/// plain engine's report for any `--shards` value. Returns the run's
-/// wall-clock profile for `--profile-json`.
-fn run_service_mode(
+/// Run the campaign and print what `mode` asks for. Rows stream in
+/// completion order under `--jsonl`; every other mode's stdout is
+/// byte-identical for any `--shards` value. Returns the run's wall-clock
+/// profile for `--profile-json`.
+fn run_mode(
     spec: &CampaignSpec,
     cfg: &RunConfig,
     mode: OutputMode,
     trace_capacity: usize,
     clock: &StageClock,
 ) -> RunProfile {
-    let run = |tel: &Telemetry, sink: &mut dyn RowSink| {
-        let outcome = clock
-            .time("run", || run_service(spec, cfg, tel, sink))
-            .unwrap_or_else(|e| {
-                eprintln!("service run failed: {e}");
-                std::process::exit(1);
-            });
-        eprintln!(
-            "service: {} executed, {} restored, {} resumed retries, {} journal bytes truncated",
-            outcome.executed, outcome.restored, outcome.resumed_retries, outcome.journal_truncated
-        );
-        outcome
-    };
     match mode {
         OutputMode::Text => {
-            let outcome = run(&Telemetry::disabled(), &mut NullSink);
+            let outcome = run(spec, cfg, &Telemetry::disabled(), &mut NullSink, clock);
             print!("{}", clock.time("score", || outcome.report.render_text()));
             outcome.profile
         }
         OutputMode::TextWithTelemetry => {
             let tel = Telemetry::enabled();
-            let outcome = run(&tel, &mut NullSink);
+            let outcome = run(spec, cfg, &tel, &mut NullSink, clock);
             print!("{}", outcome.report.render_text());
             println!("--- telemetry ---");
             print!("{}", clock.time("score", || tel.snapshot().render_text()));
@@ -270,14 +273,23 @@ fn run_service_mode(
         }
         OutputMode::Json => {
             let tel = Telemetry::enabled();
-            let mut sink = IndexedSink::default();
-            let outcome = run(&tel, &mut sink);
-            sink.rows.sort();
-            let rows: Vec<String> = sink.rows.into_iter().map(|(_, row)| row).collect();
+            let mut sink = CollectSink::new();
+            let outcome = run(spec, cfg, &tel, &mut sink, clock);
+            if outcome.restored > 0 {
+                eprintln!(
+                    "--json needs every trial row, but {} trials were restored from the \
+                     checkpoint without their rows; rerun without --checkpoint",
+                    outcome.restored
+                );
+                std::process::exit(1);
+            }
+            let report = CampaignReport {
+                trials: sink.into_index_order(),
+                summary: outcome.report,
+            };
             println!(
-                "{{\"experiment\":\"campaign\",\"name\":\"{}\",\"trials\":[{}],\"telemetry\":{}}}",
-                outcome.report.name,
-                rows.join(","),
+                "{{\"experiment\":\"campaign\",\"report\":{},\"telemetry\":{}}}",
+                report.to_json(),
                 clock.time("score", || tel.snapshot().to_json())
             );
             outcome.profile
@@ -285,11 +297,11 @@ fn run_service_mode(
         OutputMode::Jsonl => {
             let stdout = std::io::stdout();
             let mut sink = JsonlSink::new(std::io::BufWriter::new(stdout.lock()));
-            run(&Telemetry::disabled(), &mut sink).profile
+            run(spec, cfg, &Telemetry::disabled(), &mut sink, clock).profile
         }
         OutputMode::Trace => {
             let tel = Telemetry::with_trace(trace_capacity);
-            let outcome = run(&tel, &mut NullSink);
+            let outcome = run(spec, cfg, &tel, &mut NullSink, clock);
             let out = clock.time("score", || {
                 underradar_bench::cli::render_trace(&outcome.report.render_text(), &tel.snapshot())
             });
@@ -299,50 +311,26 @@ fn run_service_mode(
     }
 }
 
-/// `--audit`: run with telemetry forced on (batch or service), print the
-/// report, then the safety audit reconstructed from the merged registry.
-/// Returns the service profile when the service path ran.
-fn run_audit(
-    spec: &CampaignSpec,
-    shards: usize,
-    service_cfg: Option<&RunConfig>,
-    json: bool,
-    clock: &StageClock,
-) -> Option<RunProfile> {
+/// `--audit`: run with telemetry forced on, print the report, then the
+/// safety audit reconstructed from the merged registry.
+fn run_audit(spec: &CampaignSpec, cfg: &RunConfig, json: bool, clock: &StageClock) -> RunProfile {
     let tel = Telemetry::enabled();
-    let (report_text, cells, profile) = match service_cfg {
-        Some(cfg) => {
-            let outcome = clock
-                .time("run", || run_service(spec, cfg, &tel, &mut NullSink))
-                .unwrap_or_else(|e| {
-                    eprintln!("service run failed: {e}");
-                    std::process::exit(1);
-                });
-            (
-                outcome.report.render_text(),
-                outcome.report.cells(),
-                Some(outcome.profile),
-            )
-        }
-        None => {
-            let report = run_campaign(spec, shards, &tel, clock);
-            (report.render_text(), report.cells(), None)
-        }
-    };
-    print!("{report_text}");
+    let outcome = run(spec, cfg, &tel, &mut NullSink, clock);
+    print!("{}", outcome.report.render_text());
     println!("--- audit ---");
+    let cells = outcome.report.cells();
     let audit = clock.time("score", || render_audit(&cells, &tel.snapshot(), json));
     print!("{audit}");
-    profile
+    outcome.profile
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let shards = parse_shards(&args);
+    let shards = parse_value(&args, "--shards")
+        .map_or(1, |v| v.parse().expect("--shards needs a positive integer"))
+        .max(1);
     let profile = args.iter().any(|a| a == "--profile");
     let profile_json = parse_value(&args, "--profile-json");
-    let checkpoint = parse_value(&args, "--checkpoint").map(PathBuf::from);
-    let service = args.iter().any(|a| a == "--service") || checkpoint.is_some();
     let audit = args.iter().rev().find_map(|a| match a.as_str() {
         "--audit" => Some(false),
         "--audit=json" => Some(true),
@@ -370,71 +358,23 @@ fn main() {
     if args.iter().any(|a| a == "--impair") {
         spec = spec.client_link_reorder(0.2).client_link_duplicate(0.1);
     }
+    let mut cfg = RunConfig::new(shards);
+    if let Some(path) = parse_value(&args, "--checkpoint") {
+        cfg = cfg.checkpoint(PathBuf::from(path));
+    }
+    if let Some(p) = progress {
+        cfg = cfg.progress(p);
+    }
     if let Some((a, b)) = parse_trace_diff(&args) {
-        run_trace_diff(&spec, shards, a, b, trace_capacity);
+        run_trace_diff(&spec, &cfg, a, b, trace_capacity, &clock);
         return;
     }
-    let mode = out_spec.mode();
-    let mut service_profile = None;
-    if service {
-        let mut cfg = RunConfig::new(shards);
-        if let Some(path) = checkpoint {
-            cfg = cfg.checkpoint(path);
-        }
-        if let Some(p) = progress {
-            cfg = cfg.progress(p);
-        }
-        service_profile = match audit {
-            Some(json) => run_audit(&spec, shards, Some(&cfg), json, &clock),
-            None => Some(run_service_mode(&spec, &cfg, mode, trace_capacity, &clock)),
-        };
-    } else if let Some(json) = audit {
-        run_audit(&spec, shards, None, json, &clock);
-    } else {
-        match mode {
-            OutputMode::Text => {
-                let report = run_campaign(&spec, shards, &Telemetry::disabled(), &clock);
-                print!("{}", clock.time("score", || report.render_text()));
-            }
-            OutputMode::TextWithTelemetry => {
-                let tel = Telemetry::enabled();
-                let report = run_campaign(&spec, shards, &tel, &clock);
-                print!("{}", report.render_text());
-                println!("--- telemetry ---");
-                print!("{}", clock.time("score", || tel.snapshot().render_text()));
-            }
-            OutputMode::Json => {
-                let tel = Telemetry::enabled();
-                let report = run_campaign(&spec, shards, &tel, &clock);
-                println!(
-                    "{{\"experiment\":\"campaign\",\"report\":{},\"telemetry\":{}}}",
-                    report.to_json(),
-                    clock.time("score", || tel.snapshot().to_json())
-                );
-            }
-            OutputMode::Jsonl => {
-                let report = run_campaign(&spec, shards, &Telemetry::disabled(), &clock);
-                let out = clock.time("score", || {
-                    report
-                        .trials
-                        .iter()
-                        .map(|t| t.to_json_row() + "\n")
-                        .collect::<String>()
-                });
-                print!("{out}");
-            }
-            OutputMode::Trace => {
-                let tel = Telemetry::with_trace(trace_capacity);
-                let report = run_campaign(&spec, shards, &tel, &clock);
-                let out = clock.time("score", || {
-                    underradar_bench::cli::render_trace(&report.render_text(), &tel.snapshot())
-                });
-                print!("{out}");
-            }
-        }
-    }
+    let run_profile = match audit {
+        Some(json) => run_audit(&spec, &cfg, json, &clock),
+        None => run_mode(&spec, &cfg, out_spec.mode(), trace_capacity, &clock),
+    };
     if let Some(path) = profile_json {
-        write_profile_json(&path, &clock, service_profile.as_ref());
+        write_profile_json(&path, &clock, &run_profile);
     }
     if profile {
         eprintln!("--- profile ---");

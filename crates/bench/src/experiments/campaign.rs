@@ -6,12 +6,21 @@
 //! keyword RST) over a curated target list — ≥500 trials. Output is
 //! byte-identical for any `--shards` value.
 
-use underradar_campaign::{engine, CampaignSpec, MethodKind, NamedPolicy, TrialResult};
+use underradar_campaign::{CampaignReport, CampaignSpec, MethodKind, NamedPolicy, TrialResult};
 use underradar_censor::CensorPolicy;
 use underradar_core::testbed::TargetSite;
 use underradar_netsim::addr::Cidr;
 use underradar_protocols::dns::DnsName;
+use underradar_runner::run_in_memory;
 use underradar_telemetry::Telemetry;
+
+/// Run `spec` in memory through the run service on `workers` workers. A
+/// failed run comes back as the text an experiment prints in place of its
+/// result: the campaign, the cause, and `FAILED`.
+pub fn run(spec: &CampaignSpec, workers: usize, tel: &Telemetry) -> Result<CampaignReport, String> {
+    run_in_memory(spec, workers, tel)
+        .map_err(|e| format!("\ncampaign '{}' failed: {e}\nresult: FAILED\n\n", spec.name))
+}
 
 /// Look up one evidence value on a trial ("-" when absent).
 pub fn evidence(trial: &TrialResult, key: &str) -> String {
@@ -60,18 +69,6 @@ pub fn synthetic_campaign(trials: usize) -> CampaignSpec {
         .policy(NamedPolicy::new("control", CensorPolicy::new()))
         .trials_per_cell(trials)
         .run_secs(20)
-}
-
-/// Run the paper campaign on `shards` workers and render the text view.
-pub fn run_with_shards(tel: &Telemetry, shards: usize) -> String {
-    let spec = paper_campaign(4);
-    let report = engine::run(&spec, shards, tel);
-    report.render_text()
-}
-
-/// Run with a single worker (the `experiments::ALL`-style entry point).
-pub fn run_with(tel: &Telemetry) -> String {
-    run_with_shards(tel, 1)
 }
 
 #[cfg(test)]

@@ -7,9 +7,9 @@
 //!
 //! Matrix: censorship scenario × (accuracy, evasion) — expressed as a
 //! thin `CampaignSpec` with one policy column per scenario, driven by
-//! the campaign engine.
+//! the run service.
 
-use underradar_campaign::{engine, CampaignSpec, MethodKind, NamedPolicy};
+use underradar_campaign::{CampaignSpec, MethodKind, NamedPolicy};
 use underradar_censor::CensorPolicy;
 use underradar_core::testbed::TargetSite;
 use underradar_netsim::addr::Cidr;
@@ -45,7 +45,10 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
             CensorPolicy::new().block_port(Cidr::host(target), 80),
         ))
         .run_secs(30);
-    let report = engine::run(&spec, 1, tel);
+    let report = match super::campaign::run(&spec, 1, tel) {
+        Ok(report) => report,
+        Err(failed) => return out + &failed,
+    };
 
     let mut table = Table::new(&[
         "scenario",

@@ -80,7 +80,10 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
             CensorPolicy::new().block_domain(&DnsName::parse("twitter.com").expect("n")),
         ))
         .run_secs(30);
-    let campaign = underradar_campaign::engine::run(&spec, 1, tel);
+    let campaign = match super::campaign::run(&spec, 1, tel) {
+        Ok(report) => report,
+        Err(failed) => return out + &failed,
+    };
     let trial = &campaign.trials[0];
     let a_for_mx = crate::experiments::campaign::evidence(trial, "a_for_mx") == "true";
     out.push_str(&format!(

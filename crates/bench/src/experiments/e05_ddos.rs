@@ -90,7 +90,7 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
     // One campaign cell per scenario; the engine's ddos driver runs the
     // warm-up flood ("causing the MVR to discard the traffic more
     // aggressively") before the measured samples.
-    use underradar_campaign::{engine, CampaignSpec, MethodKind, NamedPolicy};
+    use underradar_campaign::{CampaignSpec, MethodKind, NamedPolicy};
     let spec = CampaignSpec::new("e05-ddos", 11)
         .target("youtube.com")
         .method(MethodKind::Ddos)
@@ -103,7 +103,10 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
             .with_probe_path("/falun-video"),
         )
         .run_secs(180);
-    let campaign = engine::run(&spec, 1, tel);
+    let campaign = match super::campaign::run(&spec, 1, tel) {
+        Ok(report) => report,
+        Err(failed) => return out + &failed,
+    };
     for trial in &campaign.trials {
         all_pass &= trial.verdict_correct && trial.evaded;
         let ev = |k| crate::experiments::campaign::evidence(trial, k);

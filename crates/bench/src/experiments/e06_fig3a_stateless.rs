@@ -11,7 +11,7 @@
 //! with `spoofed_cover` set (spoofed *addresses* may outnumber the real
 //! cover hosts — stateless protocols need no machine behind a source).
 
-use underradar_campaign::{engine, CampaignSpec, MethodKind, NamedPolicy};
+use underradar_campaign::{CampaignSpec, MethodKind, NamedPolicy};
 use underradar_censor::CensorPolicy;
 use underradar_protocols::dns::DnsName;
 
@@ -22,9 +22,9 @@ pub fn run() -> String {
     run_with(&underradar_telemetry::Telemetry::disabled())
 }
 
-/// Run E6 and render its report. Each sweep point runs through the
-/// campaign engine, which folds per-trial registries into `tel` in trial
-/// order (scheduling-independent).
+/// Run E6 and render its report. Each sweep point runs through the run
+/// service, which folds per-trial registries into `tel` independently of
+/// scheduling.
 pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
     let mut out = heading(
         "E6",
@@ -48,7 +48,10 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
             .cover_hosts(cover_count.min(8)) // hosts that physically exist
             .spoofed_cover(cover_count)
             .run_secs(10);
-        let report = engine::run(&spec, 1, tel);
+        let report = match super::campaign::run(&spec, 1, tel) {
+            Ok(report) => report,
+            Err(failed) => return out + &failed,
+        };
         let trial = &report.trials[0];
         let per_ip = trial.anonymity_set.unwrap_or(0);
         let pass = trial.verdict_correct && per_ip == cover_count + 1;

@@ -168,7 +168,10 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
             .with_probe_path("/falun"),
         )
         .run_secs(10);
-    let campaign = underradar_campaign::engine::run(&spec, 1, tel);
+    let campaign = match super::campaign::run(&spec, 1, tel) {
+        Ok(report) => report,
+        Err(failed) => return out + &failed,
+    };
     let sweet = &campaign.trials[0];
     let sweet_reset = crate::experiments::campaign::evidence(sweet, "was_reset") == "true";
     acc.row(&[

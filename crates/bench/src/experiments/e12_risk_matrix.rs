@@ -8,14 +8,15 @@
 //! same censorship while evading.
 //!
 //! Each row is one campaign cell — a thin `CampaignSpec` (method ×
-//! policy) driven by the campaign engine, which owns the warm-up phases,
-//! spoofed cover, and risk scoring that used to be hand-wired here.
+//! policy) run through the run service; the campaign engine owns the
+//! warm-up phases, spoofed cover, and risk scoring that used to be
+//! hand-wired here.
 //!
 //! A final ablation shows the paper's admitted limitation (§3.2.1): a
 //! surveillance operator willing to write bespoke fingerprinting rules and
 //! spend pre-MVR analysis can re-identify the scanning measurement.
 
-use underradar_campaign::{engine, CampaignSpec, MethodKind, NamedPolicy, TrialResult};
+use underradar_campaign::{CampaignSpec, MethodKind, NamedPolicy};
 use underradar_censor::CensorPolicy;
 use underradar_core::methods::scan::SynScanProbe;
 use underradar_core::ports::top_ports;
@@ -28,112 +29,82 @@ use underradar_protocols::dns::DnsName;
 
 use crate::table::{heading, mark, Table};
 
-struct Row {
-    method: &'static str,
-    scenario: &'static str,
-    trial: TrialResult,
-}
-
 fn blocked(domain: &str) -> CensorPolicy {
     CensorPolicy::new().block_domain(&DnsName::parse(domain).expect("n"))
 }
 
-/// Run a one-cell campaign and return the trial at `pick`.
-fn cell(tel: &underradar_telemetry::Telemetry, spec: CampaignSpec, pick: usize) -> TrialResult {
-    let report = engine::run(&spec, 1, tel);
-    report.trials[pick].clone()
-}
-
-fn overt_row(tel: &underradar_telemetry::Telemetry) -> Row {
-    let spec = CampaignSpec::new("e12-overt", 1)
-        .target("twitter.com")
-        .method(MethodKind::Overt)
-        .policy(NamedPolicy::new("dns-block", blocked("twitter.com")))
-        .run_secs(20);
-    Row {
-        method: "overt (OONI-style baseline)",
-        scenario: "dns-block",
-        trial: cell(tel, spec, 0),
-    }
-}
-
-fn scan_row(tel: &underradar_telemetry::Telemetry) -> Row {
+/// The headline rows: `(method, scenario, one-cell campaign)`. Each row
+/// reports the campaign's first trial.
+fn cells() -> Vec<(&'static str, &'static str, CampaignSpec)> {
     let target = TargetSite::numbered("twitter.com", 0).web_ip;
-    let spec = CampaignSpec::new("e12-scan", 1)
-        .target("twitter.com")
-        .method(MethodKind::Scan)
-        .policy(NamedPolicy::new(
+    let keyword_rst = |path: &str| {
+        NamedPolicy::new("keyword-rst", CensorPolicy::new().block_keyword("falun"))
+            .with_probe_path(path)
+    };
+    vec![
+        (
+            "overt (OONI-style baseline)",
+            "dns-block",
+            CampaignSpec::new("e12-overt", 1)
+                .target("twitter.com")
+                .method(MethodKind::Overt)
+                .policy(NamedPolicy::new("dns-block", blocked("twitter.com")))
+                .run_secs(20),
+        ),
+        (
+            "scan (Method #1)",
             "ip-blackhole",
-            CensorPolicy::new().block_ip(Cidr::host(target)),
-        ))
-        .run_secs(30);
-    Row {
-        method: "scan (Method #1)",
-        scenario: "ip-blackhole",
-        trial: cell(tel, spec, 0),
-    }
-}
-
-fn spam_row(tel: &underradar_telemetry::Telemetry) -> Row {
-    // Extra targets exist so the engine's warm-up phase can earn the
-    // spammer label against them; the measured cell is twitter (index 0).
-    let spec = CampaignSpec::new("e12-spam", 1)
-        .targets(["twitter.com", "bbc.com", "example.org", "youtube.com"])
-        .method(MethodKind::Spam)
-        .policy(NamedPolicy::new("dns-block", blocked("twitter.com")))
-        .run_secs(40);
-    Row {
-        method: "spam campaign (Method #2)",
-        scenario: "dns-block",
-        trial: cell(tel, spec, 0),
-    }
-}
-
-fn ddos_row(tel: &underradar_telemetry::Telemetry) -> Row {
-    let spec = CampaignSpec::new("e12-ddos", 1)
-        .target("youtube.com")
-        .method(MethodKind::Ddos)
-        .policy(
-            NamedPolicy::new("keyword-rst", CensorPolicy::new().block_keyword("falun"))
-                .with_probe_path("/falun-clip"),
-        )
-        .run_secs(180);
-    Row {
-        method: "ddos burst (Method #3)",
-        scenario: "keyword-rst",
-        trial: cell(tel, spec, 0),
-    }
-}
-
-fn stateless_row(tel: &underradar_telemetry::Telemetry) -> Row {
-    let spec = CampaignSpec::new("e12-stateless", 1)
-        .target("twitter.com")
-        .method(MethodKind::StatelessDns)
-        .policy(NamedPolicy::new("dns-block", blocked("twitter.com")))
-        .cover_hosts(8)
-        .spoofed_cover(16)
-        .run_secs(10);
-    Row {
-        method: "stateless mimicry (Fig 3a)",
-        scenario: "dns-block",
-        trial: cell(tel, spec, 0),
-    }
-}
-
-fn stateful_row(tel: &underradar_telemetry::Telemetry) -> Row {
-    let spec = CampaignSpec::new("e12-stateful", 12)
-        .target("twitter.com")
-        .method(MethodKind::Stateful)
-        .policy(
-            NamedPolicy::new("keyword-rst", CensorPolicy::new().block_keyword("falun"))
-                .with_probe_path("/falun"),
-        )
-        .run_secs(10);
-    Row {
-        method: "stateful mimicry (Fig 3b)",
-        scenario: "keyword-rst",
-        trial: cell(tel, spec, 0),
-    }
+            CampaignSpec::new("e12-scan", 1)
+                .target("twitter.com")
+                .method(MethodKind::Scan)
+                .policy(NamedPolicy::new(
+                    "ip-blackhole",
+                    CensorPolicy::new().block_ip(Cidr::host(target)),
+                ))
+                .run_secs(30),
+        ),
+        (
+            // Extra targets exist so the engine's warm-up phase can earn
+            // the spammer label against them; the measured cell is
+            // twitter (index 0).
+            "spam campaign (Method #2)",
+            "dns-block",
+            CampaignSpec::new("e12-spam", 1)
+                .targets(["twitter.com", "bbc.com", "example.org", "youtube.com"])
+                .method(MethodKind::Spam)
+                .policy(NamedPolicy::new("dns-block", blocked("twitter.com")))
+                .run_secs(40),
+        ),
+        (
+            "ddos burst (Method #3)",
+            "keyword-rst",
+            CampaignSpec::new("e12-ddos", 1)
+                .target("youtube.com")
+                .method(MethodKind::Ddos)
+                .policy(keyword_rst("/falun-clip"))
+                .run_secs(180),
+        ),
+        (
+            "stateless mimicry (Fig 3a)",
+            "dns-block",
+            CampaignSpec::new("e12-stateless", 1)
+                .target("twitter.com")
+                .method(MethodKind::StatelessDns)
+                .policy(NamedPolicy::new("dns-block", blocked("twitter.com")))
+                .cover_hosts(8)
+                .spoofed_cover(16)
+                .run_secs(10),
+        ),
+        (
+            "stateful mimicry (Fig 3b)",
+            "keyword-rst",
+            CampaignSpec::new("e12-stateful", 12)
+                .target("twitter.com")
+                .method(MethodKind::Stateful)
+                .policy(keyword_rst("/falun"))
+                .run_secs(10),
+        ),
+    ]
 }
 
 /// Run E12 with a disabled telemetry handle.
@@ -149,14 +120,6 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
         "headline result (§1/§7)",
         "stealthy techniques match the overt baseline's accuracy without its risk",
     );
-    let rows = vec![
-        overt_row(tel),
-        scan_row(tel),
-        spam_row(tel),
-        ddos_row(tel),
-        stateless_row(tel),
-        stateful_row(tel),
-    ];
     let mut table = Table::new(&[
         "method",
         "scenario",
@@ -167,11 +130,15 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
         "anon set",
     ]);
     let mut pass = true;
-    for row in &rows {
-        let t = &row.trial;
+    for (method, scenario, spec) in cells() {
+        let report = match super::campaign::run(&spec, 1, tel) {
+            Ok(report) => report,
+            Err(failed) => return out + &failed,
+        };
+        let t = &report.trials[0];
         table.row(&[
-            row.method.to_string(),
-            row.scenario.to_string(),
+            method.to_string(),
+            scenario.to_string(),
             mark(t.verdict_correct).to_string(),
             mark(t.evaded).to_string(),
             mark(t.attributed).to_string(),
@@ -179,9 +146,9 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
             t.anonymity_set.map_or("-".to_string(), |n| n.to_string()),
         ]);
         pass &= t.verdict_correct;
-        if row.method.starts_with("overt") {
+        if method.starts_with("overt") {
             pass &= !t.evaded && t.attributed;
-        } else if row.method.starts_with("stateless") {
+        } else if method.starts_with("stateless") {
             // Cover traffic trades zero-alerts for a large anonymity set.
             pass &= t.anonymity_set.map(|n| n >= 17).unwrap_or(false) && !t.attributed;
         } else {

@@ -752,11 +752,17 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
             .trials_per_cell(2)
             .run_secs(30)
     };
-    let clean = underradar_campaign::engine::run(&spec("e13-clean"), 1, tel);
+    let clean = match super::campaign::run(&spec("e13-clean"), 1, tel) {
+        Ok(report) => report,
+        Err(failed) => return out + &failed,
+    };
     let impaired_spec = spec("e13-impaired")
         .client_link_reorder(0.2)
         .client_link_duplicate(0.1);
-    let impaired = underradar_campaign::engine::run(&impaired_spec, 1, tel);
+    let impaired = match super::campaign::run(&impaired_spec, 1, tel) {
+        Ok(report) => report,
+        Err(failed) => return out + &failed,
+    };
     let mut verdicts_match = clean.trials.len() == impaired.trials.len();
     let mut matched = 0usize;
     for (a, b) in clean.trials.iter().zip(impaired.trials.iter()) {
@@ -775,7 +781,10 @@ pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
     ]);
     out.push_str(&t3.render());
 
-    let sharded = underradar_campaign::engine::run(&spec("e13-clean"), 4, tel);
+    let sharded = match super::campaign::run(&spec("e13-clean"), 4, tel) {
+        Ok(report) => report,
+        Err(failed) => return out + &failed,
+    };
     let shard_identical = clean.trials.len() == sharded.trials.len()
         && clean
             .trials

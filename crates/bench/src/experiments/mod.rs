@@ -1,6 +1,7 @@
 //! One module per reproduced table/figure. See `DESIGN.md` §4 for the
 //! experiment ↔ paper mapping.
 
+use underradar_campaign::steal::run_chunked;
 use underradar_telemetry::{Registry, Telemetry};
 
 pub mod a1_ablations;
@@ -44,15 +45,32 @@ pub const ALL: [Experiment; 15] = [
     ("a1_ablations", a1_ablations::run_with),
 ];
 
+/// The experiment `underradar experiments <name>` runs: the short name
+/// is the entry's prefix without leading zeros (`e1` for `e01_testbed`,
+/// `a1` for `a1_ablations`), matched case-insensitively.
+pub fn find(short: &str) -> Option<Experiment> {
+    ALL.iter().copied().find(|(name, _)| {
+        let prefix = name.split('_').next().unwrap_or(name);
+        let (letter, number) = prefix.split_at(1);
+        let short_name = format!("{letter}{}", number.trim_start_matches('0'));
+        short_name.eq_ignore_ascii_case(short)
+    })
+}
+
+/// Worker threads for the experiment fan-out: one per available core.
+fn workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
 /// Run every experiment, concatenating reports (used by the `cargo bench`
 /// harness so one command regenerates all tables and figures).
 ///
-/// The experiments fan out across worker threads via
-/// [`crate::runner::run_sharded`]; the concatenation is in [`ALL`] order,
+/// The experiments fan out across worker threads with the campaign
+/// scheduler ([`run_chunked`]); the concatenation is in [`ALL`] order,
 /// and each experiment seeds its own RNGs, so the report is byte-identical
-/// to the old sequential run.
+/// to a sequential run.
 pub fn run_all() -> String {
-    crate::runner::run_sharded(&ALL, 0, |&(_, run), _| run(&Telemetry::disabled())).concat()
+    run_chunked(ALL.len(), workers(), |i| ALL[i].1(&Telemetry::disabled())).concat()
 }
 
 /// One experiment's outcome: name, rendered report, telemetry registry.
@@ -63,7 +81,8 @@ pub type ExperimentResult = (&'static str, String, Registry);
 /// independent of scheduling; the output is in item order and
 /// byte-identical to [`collect_sequential`].
 pub fn collect(experiments: &[Experiment]) -> Vec<ExperimentResult> {
-    crate::runner::run_sharded(experiments, 0, |&(name, run), _| {
+    run_chunked(experiments.len(), workers(), |i| {
+        let (name, run) = experiments[i];
         let tel = Telemetry::enabled();
         let report = run(&tel);
         (name, report, tel.snapshot())
@@ -81,27 +100,6 @@ pub fn collect_sequential(experiments: &[Experiment]) -> Vec<ExperimentResult> {
             (name, report, tel.snapshot())
         })
         .collect()
-}
-
-/// Run every experiment with telemetry enabled (sharded).
-pub fn run_all_with_telemetry() -> Vec<ExperimentResult> {
-    collect(&ALL)
-}
-
-/// [`collect`] with wall-clock profiling: each experiment's prepare
-/// (telemetry scope build), run (experiment body), and score (registry
-/// snapshot) stages are timed on the shared [`crate::runner::StageClock`],
-/// and the returned [`crate::runner::RunProfile`] carries per-worker
-/// busy/idle splits. Results are byte-identical to [`collect`].
-pub fn collect_profiled(
-    experiments: &[Experiment],
-) -> (Vec<ExperimentResult>, crate::runner::RunProfile) {
-    crate::runner::run_sharded_profiled(experiments, 0, |&(name, run), _, clock| {
-        let tel = clock.time("prepare", Telemetry::enabled);
-        let report = clock.time("run", || run(&tel));
-        let registry = clock.time("score", || tel.snapshot());
-        (name, report, registry)
-    })
 }
 
 /// Render `BENCH_telemetry.json`: every experiment's registry in run
@@ -123,4 +121,26 @@ pub fn telemetry_json(results: &[ExperimentResult]) -> String {
     out.push_str(&merged.to_json());
     out.push_str("}\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_experiment_is_reachable_by_its_short_name() {
+        let shorts: Vec<String> = (1..=14)
+            .map(|n| format!("e{n}"))
+            .chain(["a1".to_string()])
+            .collect();
+        assert_eq!(shorts.len(), ALL.len());
+        for (short, (name, _)) in shorts.iter().zip(ALL.iter()) {
+            let found = find(short).map(|(n, _)| n);
+            assert_eq!(found, Some(*name), "{short}");
+            assert_eq!(find(&short.to_uppercase()).map(|(n, _)| n), Some(*name));
+        }
+        assert!(find("e15").is_none());
+        assert!(find("e01").is_none());
+        assert!(find("all").is_none());
+    }
 }

@@ -13,13 +13,13 @@
 //! its internal seeds) with a thin binary wrapper in `src/bin/` and a
 //! consolidated `cargo bench` harness (`benches/experiments.rs`) that
 //! prints all of them. [`experiments::run_all`] fans the experiments
-//! across threads with [`runner::run_sharded`]; determinism is preserved
+//! across threads with the campaign scheduler
+//! (`underradar_campaign::steal::run_chunked`); determinism is preserved
 //! because each experiment seeds its own RNGs. The experiment ↔ paper
 //! mapping lives in `DESIGN.md` §4 and `EXPERIMENTS.md`.
 
 pub mod cli;
 pub mod experiments;
-pub mod runner;
 pub mod table;
 pub mod telemetry;
 

@@ -1,12 +1,14 @@
 //! Telemetry determinism regression (ISSUE satellite): the registries an
 //! experiment produces — and the `BENCH_telemetry.json` rendering built
 //! from them — must be byte-identical run-to-run and between the
-//! sequential and sharded (`run_sharded`) execution paths.
+//! sequential and sharded (`run_chunked`) execution paths.
 //!
 //! Uses the cheaper experiments so the double-run stays fast; the sharded
-//! path is the same code `run_all_with_telemetry` uses for all fourteen.
+//! path is the same code `cargo bench --bench experiments` uses for all
+//! fifteen.
 
 use underradar_bench::experiments::{collect, collect_sequential, telemetry_json, Experiment, ALL};
+use underradar_runner::{run_in_memory, JournalError};
 
 /// A representative, fast subset: pure-generator (E3, E8, E10) and
 /// pipeline (E9) experiments.
@@ -50,8 +52,8 @@ fn sharded_and_sequential_runs_agree_byte_for_byte() {
 }
 
 #[test]
-fn campaign_sequential_and_sharded_agree_byte_for_byte() {
-    use underradar_campaign::{engine, CampaignSpec, MethodKind, NamedPolicy};
+fn campaign_sequential_and_sharded_agree_byte_for_byte() -> Result<(), JournalError> {
+    use underradar_campaign::{CampaignSpec, MethodKind, NamedPolicy};
     use underradar_censor::CensorPolicy;
     use underradar_protocols::dns::DnsName;
     use underradar_telemetry::Telemetry;
@@ -73,9 +75,9 @@ fn campaign_sequential_and_sharded_agree_byte_for_byte() {
         .client_link_corrupt(0.05)
         .run_secs(30);
     let sequential_tel = Telemetry::enabled();
-    let sequential = engine::run(&spec, 1, &sequential_tel);
+    let sequential = run_in_memory(&spec, 1, &sequential_tel)?;
     let sharded_tel = Telemetry::enabled();
-    let sharded = engine::run(&spec, 4, &sharded_tel);
+    let sharded = run_in_memory(&spec, 4, &sharded_tel)?;
     assert_eq!(
         sequential.to_json(),
         sharded.to_json(),
@@ -86,14 +88,15 @@ fn campaign_sequential_and_sharded_agree_byte_for_byte() {
         sharded_tel.snapshot().to_json(),
         "merged campaign telemetry differs under sharding"
     );
+    Ok(())
 }
 
 /// ISSUE satellite: the flight recorder must be as deterministic as the
 /// report — a traced campaign run yields byte-identical trace JSONL (and
 /// explainer chains) whether it runs sequentially or across 4 workers.
 #[test]
-fn campaign_trace_is_byte_identical_across_shard_counts() {
-    use underradar_campaign::{engine, CampaignSpec, MethodKind, NamedPolicy};
+fn campaign_trace_is_byte_identical_across_shard_counts() -> Result<(), JournalError> {
+    use underradar_campaign::{CampaignSpec, MethodKind, NamedPolicy};
     use underradar_censor::CensorPolicy;
     use underradar_protocols::dns::DnsName;
     use underradar_telemetry::{trace, Telemetry, DEFAULT_TRACE_CAPACITY};
@@ -110,13 +113,13 @@ fn campaign_trace_is_byte_identical_across_shard_counts() {
         .run_secs(30);
     let run = |shards: usize| {
         let tel = Telemetry::with_trace(DEFAULT_TRACE_CAPACITY);
-        let report = engine::run(&spec, shards, &tel);
+        let report = run_in_memory(&spec, shards, &tel)?;
         let snap = tel.snapshot();
         let chains = trace::render_chains(&trace::explain(&snap.trace));
-        (report.render_text(), snap.trace_jsonl(), chains)
+        Ok::<_, JournalError>((report.render_text(), snap.trace_jsonl(), chains))
     };
-    let (report_1, jsonl_1, chains_1) = run(1);
-    let (report_4, jsonl_4, chains_4) = run(4);
+    let (report_1, jsonl_1, chains_1) = run(1)?;
+    let (report_4, jsonl_4, chains_4) = run(4)?;
     assert_eq!(report_1, report_4, "report differs under sharding");
     assert_eq!(jsonl_1, jsonl_4, "trace JSONL differs under sharding");
     assert_eq!(chains_1, chains_4, "explainer chains differ under sharding");
@@ -137,6 +140,7 @@ fn campaign_trace_is_byte_identical_across_shard_counts() {
     assert!(jsonl_1.contains("\"stage\":\"campaign\""));
     assert!(jsonl_1.contains("\"kind\":\"verdict\""));
     assert!(jsonl_1.contains("\"stage\":\"censor\""));
+    Ok(())
 }
 
 #[test]

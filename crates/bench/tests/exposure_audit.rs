@@ -1,13 +1,12 @@
 //! Cross-path determinism and safety-regression tests for the exposure
 //! ledger: the audit reconstructed from the merged registry must be
-//! byte-identical for any shard count and for the durable run service vs
-//! the plain engine, and hosts with no sensitive traffic must score zero
-//! under every censor policy.
+//! byte-identical for any shard count and with or without a checkpoint
+//! journal, and hosts with no sensitive traffic must score zero under
+//! every censor policy.
 
 use underradar_bench::experiments::campaign::paper_campaign;
-use underradar_campaign::engine;
 use underradar_campaign::report::CellStat;
-use underradar_runner::{run_service, NullSink, RunConfig};
+use underradar_runner::{run_in_memory, run_service, JournalError, NullSink, RunConfig};
 use underradar_surveil::exposure::{DeclaredCell, ExposureLedger, SafetyAudit};
 use underradar_telemetry::{Registry, Telemetry};
 
@@ -36,11 +35,11 @@ fn ledger_dump(reg: &Registry) -> String {
 }
 
 #[test]
-fn audit_is_byte_identical_across_shards_and_service_vs_engine() {
+fn audit_is_byte_identical_across_shards_and_with_a_journal() -> Result<(), JournalError> {
     let spec = paper_campaign(1);
 
     let tel1 = Telemetry::enabled();
-    let report1 = engine::run(&spec, 1, &tel1);
+    let report1 = run_in_memory(&spec, 1, &tel1)?;
     let (text1, json1) = audit_renders(&report1.cells(), &tel1.snapshot());
     let dump1 = ledger_dump(&tel1.snapshot());
     assert!(
@@ -49,26 +48,34 @@ fn audit_is_byte_identical_across_shards_and_service_vs_engine() {
     );
 
     let tel4 = Telemetry::enabled();
-    let report4 = engine::run(&spec, 4, &tel4);
+    let report4 = run_in_memory(&spec, 4, &tel4)?;
     let (text4, json4) = audit_renders(&report4.cells(), &tel4.snapshot());
     assert_eq!(dump1, ledger_dump(&tel4.snapshot()), "1 vs 4 shard ledger");
     assert_eq!(text1, text4, "1 vs 4 shard audit text");
     assert_eq!(json1, json4, "1 vs 4 shard audit JSON");
 
+    let journal = std::env::temp_dir().join(format!(
+        "underradar-exposure-audit-{}.journal",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&journal);
     let tel_svc = Telemetry::enabled();
-    let outcome = run_service(&spec, &RunConfig::new(4), &tel_svc, &mut NullSink)
-        .expect("service run succeeds");
+    let cfg = RunConfig::new(4).checkpoint(journal.clone());
+    let outcome = run_service(&spec, &cfg, &tel_svc, &mut NullSink);
+    let _ = std::fs::remove_file(&journal);
+    let outcome = outcome?;
     let (text_svc, json_svc) = audit_renders(&outcome.report.cells(), &tel_svc.snapshot());
-    assert_eq!(dump1, ledger_dump(&tel_svc.snapshot()), "service ledger");
-    assert_eq!(text1, text_svc, "service vs engine audit text");
-    assert_eq!(json1, json_svc, "service vs engine audit JSON");
+    assert_eq!(dump1, ledger_dump(&tel_svc.snapshot()), "journaled ledger");
+    assert_eq!(text1, text_svc, "journaled vs in-memory audit text");
+    assert_eq!(json1, json_svc, "journaled vs in-memory audit JSON");
+    Ok(())
 }
 
 #[test]
-fn hosts_with_no_sensitive_traffic_score_zero_under_every_policy() {
+fn hosts_with_no_sensitive_traffic_score_zero_under_every_policy() -> Result<(), JournalError> {
     let spec = paper_campaign(1);
     let tel = Telemetry::enabled();
-    let report = engine::run(&spec, 1, &tel);
+    let report = run_in_memory(&spec, 1, &tel)?;
     let ledger = ExposureLedger::from_registry(&tel.snapshot());
 
     let policies: Vec<String> = report
@@ -116,4 +123,5 @@ fn hosts_with_no_sensitive_traffic_score_zero_under_every_policy() {
         passive_with_bytes > 0,
         "at least one zero-score host must still have retained bytes"
     );
+    Ok(())
 }

@@ -1,14 +1,16 @@
-//! The campaign engine: expands a [`CampaignSpec`] into trials, caches a
-//! built [`TestbedTemplate`] (and routed ruleset) per policy, schedules
-//! trials across worker threads with work stealing ([`crate::steal`]),
-//! retries `Inconclusive` verdicts with backoff in *simulated* time, and
-//! merges per-trial telemetry registries back into the caller's handle in
-//! trial-index order.
+//! The campaign engine: builds a [`TestbedTemplate`] (and routed
+//! ruleset) once per policy column, then runs one trial at a time from a
+//! derived seed, retrying `Inconclusive` verdicts with backoff in
+//! *simulated* time and recording each trial's telemetry into its own
+//! registry.
 //!
-//! The retry loop is split at attempt boundaries ([`run_trial_attempt`])
-//! so a durable run service (`underradar-runner`) can journal a retry
-//! decision — with the registry accumulated so far — and resume the trial
-//! at the exact attempt it was about to run.
+//! The engine does not schedule or commit: campaigns run through the run
+//! service in `underradar-runner`, which spreads trials over workers and
+//! folds results and registries back in an order-independent way. The
+//! retry loop is split at attempt boundaries ([`run_trial_attempt`]) so
+//! the service can journal a retry decision — with the registry
+//! accumulated so far — and resume the trial at the exact attempt it was
+//! about to run.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -35,10 +37,9 @@ use underradar_surveil::system::{
 };
 use underradar_telemetry::{FieldValue, Registry, Telemetry, TraceRecord};
 
-use crate::report::{CampaignReport, TrialResult};
+use crate::report::TrialResult;
 use crate::seed;
 use crate::spec::{CampaignSpec, MethodKind, NamedPolicy, Trial};
-use crate::steal;
 
 /// UDP port hop probes aim at (classic traceroute base port).
 const HOP_PORT: u16 = 33434;
@@ -143,26 +144,6 @@ impl ScopeConfig {
     /// Whether per-trial scopes carry a flight-recorder trace ring.
     pub fn tracing(self) -> bool {
         self.trace.is_some()
-    }
-}
-
-/// Run the campaign across `workers` threads (1 = sequential baseline)
-/// and merge all per-trial telemetry into `tel` in trial-index order.
-/// Output is byte-identical for any worker count.
-pub fn run(spec: &CampaignSpec, workers: usize, tel: &Telemetry) -> CampaignReport {
-    let preps = prepare(spec);
-    let trials = spec.expand();
-    let cfg = ScopeConfig::of(tel).with_trace_capacity(spec.trace_capacity);
-    let outcomes = steal::run_chunked(trials.len(), workers, |i| {
-        let trial = &trials[i];
-        run_trial(spec, &preps[trial.policy_idx], trial, cfg)
-    });
-    for (_, registry) in &outcomes {
-        tel.merge_registry(registry);
-    }
-    CampaignReport {
-        name: spec.name.clone(),
-        trials: outcomes.into_iter().map(|(result, _)| result).collect(),
     }
 }
 
@@ -675,20 +656,14 @@ mod tests {
     use super::*;
     use underradar_censor::CensorPolicy;
 
-    fn small_spec() -> CampaignSpec {
-        CampaignSpec::new("unit", 5)
-            .targets(["twitter.com", "bbc.com"])
-            .methods([MethodKind::Scan, MethodKind::StatelessSyn])
-            .policy(NamedPolicy::new("control", CensorPolicy::new()))
-            .run_secs(30)
-    }
-
-    #[test]
-    fn sequential_and_sharded_runs_agree_byte_for_byte() {
-        let tel = Telemetry::disabled();
-        let sequential = run(&small_spec(), 1, &tel).to_json();
-        let sharded = run(&small_spec(), 4, &tel).to_json();
-        assert_eq!(sequential, sharded);
+    /// Every trial of `spec` in matrix order, each on its own registry.
+    fn run_all(spec: &CampaignSpec, tel: &Telemetry) -> Vec<(TrialResult, Registry)> {
+        let preps = prepare(spec);
+        let cfg = ScopeConfig::of(tel);
+        spec.expand()
+            .iter()
+            .map(|trial| run_trial(spec, &preps[trial.policy_idx], trial, cfg))
+            .collect()
     }
 
     #[test]
@@ -698,34 +673,32 @@ mod tests {
             .methods([MethodKind::Hops, MethodKind::Stateful])
             .policy(NamedPolicy::new("control", CensorPolicy::new()))
             .run_secs(20);
-        let tel = Telemetry::disabled();
-        let report = run(&spec, 1, &tel);
-        assert_eq!(report.trials.len(), 2);
-        let hops = &report.trials[0];
+        let trials = run_all(&spec, &Telemetry::disabled());
+        assert_eq!(trials.len(), 2);
+        let hops = &trials[0].0;
         assert_eq!(hops.method, MethodKind::Hops);
         assert!(hops.verdict.is_reachable(), "{:?}", hops.verdict);
-        let stateful = &report.trials[1];
+        let stateful = &trials[1].0;
         assert!(stateful.verdict.is_reachable(), "{:?}", stateful.verdict);
         assert!(stateful.evaded);
     }
 
     #[test]
-    fn campaign_counters_reach_the_parent_registry() {
+    fn campaign_counters_reach_the_trial_registry() {
         let spec = CampaignSpec::new("tel", 3)
             .target("twitter.com")
             .method(MethodKind::Scan)
             .policy(NamedPolicy::new("control", CensorPolicy::new()))
             .run_secs(20);
-        let tel = Telemetry::enabled();
-        let report = run(&spec, 1, &tel);
-        assert_eq!(report.trials.len(), 1);
-        let snap = tel.snapshot();
-        assert_eq!(snap.counter("campaign.trials"), 1);
-        assert_eq!(snap.counter("campaign.method.scan.trials"), 1);
+        let trials = run_all(&spec, &Telemetry::enabled());
+        assert_eq!(trials.len(), 1);
+        let registry = &trials[0].1;
+        assert_eq!(registry.counter("campaign.trials"), 1);
+        assert_eq!(registry.counter("campaign.method.scan.trials"), 1);
         assert!(
-            snap.counters.len() > 2,
+            registry.counters.len() > 2,
             "simulator/censor/surveillance exports merged in: {:?}",
-            snap.counters.keys().collect::<Vec<_>>()
+            registry.counters.keys().collect::<Vec<_>>()
         );
     }
 }

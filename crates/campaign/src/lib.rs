@@ -16,13 +16,21 @@
 //! unified [`underradar_core::probe::Probe`] trait, so the engine never
 //! needs method-specific verdict plumbing — only method-specific setup.
 //!
-//! Determinism contract: for a fixed spec, [`engine::run`] produces
-//! byte-identical reports regardless of the worker count. Trial seeds are
-//! derived from `(master_seed, trial index)` alone, never from scheduling
-//! order, and results are committed in trial-index order.
+//! Campaigns execute through one executor, the run service in
+//! `underradar-runner` (`run_service`, or `run_in_memory` for a plain
+//! in-memory run). This crate supplies what it executes: the spec, the
+//! per-trial engine ([`engine::prepare`], [`engine::run_trial`]), the
+//! scheduler ([`steal`]) and the per-cell fold ([`StreamReport`]).
+//!
+//! Determinism contract: a trial's result and telemetry are a pure
+//! function of the spec and the trial's index. Trial seeds are derived
+//! from `(master_seed, trial index)` alone, never from scheduling order,
+//! so a campaign's report is byte-identical regardless of the worker
+//! count.
 //!
 //! ```
-//! use underradar_campaign::{engine, CampaignSpec, MethodKind, NamedPolicy};
+//! use underradar_campaign::engine::{self, ScopeConfig};
+//! use underradar_campaign::{CampaignSpec, MethodKind, NamedPolicy};
 //! use underradar_censor::CensorPolicy;
 //!
 //! let spec = CampaignSpec::new("doc", 7)
@@ -31,8 +39,11 @@
 //!     .policy(NamedPolicy::new("control", CensorPolicy::new()))
 //!     .run_secs(30);
 //! let tel = underradar_telemetry::Telemetry::disabled();
-//! let report = engine::run(&spec, 1, &tel);
-//! assert_eq!(report.trials.len(), 1);
+//! let preps = engine::prepare(&spec);
+//! let trial = &spec.expand()[0];
+//! let (result, _registry) =
+//!     engine::run_trial(&spec, &preps[trial.policy_idx], trial, ScopeConfig::of(&tel));
+//! assert_eq!(result.index, 0);
 //! ```
 
 pub mod engine;

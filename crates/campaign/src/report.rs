@@ -85,52 +85,31 @@ pub struct CellStat {
     pub retries: u64,
 }
 
-/// A completed campaign: every trial plus derived matrices.
+/// A completed campaign: every trial in matrix order plus the per-cell
+/// fold the run service built while committing them.
 #[derive(Debug, Clone)]
 pub struct CampaignReport {
-    /// Campaign name from the spec.
-    pub name: String,
     /// Per-trial outcomes in matrix order.
     pub trials: Vec<TrialResult>,
+    /// The cell matrix and campaign totals over `trials`.
+    pub summary: StreamReport,
 }
 
 impl CampaignReport {
     /// Per-(method, policy) aggregates, sorted by method label then
     /// policy name — a deterministic accuracy/risk matrix.
     pub fn cells(&self) -> Vec<CellStat> {
-        let mut map: BTreeMap<(&'static str, String), CellStat> = BTreeMap::new();
-        for t in &self.trials {
-            let cell = map
-                .entry((t.method.label(), t.policy.clone()))
-                .or_insert_with(|| CellStat {
-                    method: t.method.label(),
-                    policy: t.policy.clone(),
-                    trials: 0,
-                    correct: 0,
-                    evaded: 0,
-                    inconclusive: 0,
-                    retries: 0,
-                });
-            cell.trials += 1;
-            cell.correct += t.verdict_correct as usize;
-            cell.evaded += t.evaded as usize;
-            cell.inconclusive += matches!(t.verdict, Verdict::Inconclusive(_)) as usize;
-            cell.retries += t.retries as u64;
-        }
-        map.into_values().collect()
+        self.summary.cells()
     }
 
     /// Total retries consumed across the campaign.
     pub fn total_retries(&self) -> u64 {
-        self.trials.iter().map(|t| t.retries as u64).sum()
+        self.summary.retries
     }
 
     /// Trials still `Inconclusive` after all retries.
     pub fn inconclusive_final(&self) -> usize {
-        self.trials
-            .iter()
-            .filter(|t| matches!(t.verdict, Verdict::Inconclusive(_)))
-            .count()
+        self.summary.inconclusive
     }
 
     /// Deterministic JSON rendering: stable key order, stable cell order,
@@ -139,13 +118,13 @@ impl CampaignReport {
         let mut out = String::with_capacity(256 + self.trials.len() * 192);
         out.push_str(&format!(
             "{{\"campaign\":\"{}\",\"trial_count\":{},\"retries\":{},\"inconclusive_final\":{},",
-            esc(&self.name),
-            self.trials.len(),
+            esc(&self.summary.name),
+            self.summary.trial_count(),
             self.total_retries(),
             self.inconclusive_final()
         ));
         out.push_str("\"cells\":[");
-        for (i, c) in self.cells().iter().enumerate() {
+        for (i, c) in self.summary.cells.values().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -173,36 +152,17 @@ impl CampaignReport {
 
     /// Human-readable matrix summary for terminal output.
     pub fn render_text(&self) -> String {
-        let mut out = format!(
-            "campaign '{}': {} trials, {} retries, {} inconclusive after retry\n",
-            self.name,
-            self.trials.len(),
-            self.total_retries(),
-            self.inconclusive_final()
-        );
-        out.push_str(&format!(
-            "{:<14} {:<14} {:>6} {:>8} {:>7} {:>13} {:>8}\n",
-            "method", "policy", "trials", "correct", "evades", "inconclusive", "retries"
-        ));
-        for c in self.cells() {
-            out.push_str(&format!(
-                "{:<14} {:<14} {:>6} {:>8} {:>7} {:>13} {:>8}\n",
-                c.method, c.policy, c.trials, c.correct, c.evaded, c.inconclusive, c.retries
-            ));
-        }
-        out
+        self.summary.render_text()
     }
 }
 
 /// Bounded-memory incremental aggregation of trial results: the cell
-/// matrix and campaign totals of a [`CampaignReport`], built by absorbing
-/// one [`TrialResult`] at a time in *any* order (completion order under
-/// work stealing included) without retaining the trials themselves.
+/// matrix and campaign totals, built by absorbing one [`TrialResult`] at
+/// a time in *any* order (completion order under work stealing included)
+/// without retaining the trials themselves.
 ///
-/// Every aggregate is commutative, so for the same set of trials
-/// [`StreamReport::render_text`] is byte-identical to
-/// [`CampaignReport::render_text`] — the invariant that lets a streaming
-/// run service print the same summary as the in-memory engine.
+/// Every aggregate is commutative, so for the same set of trials the
+/// rendered summary is byte-identical whatever order they arrived in.
 #[derive(Debug, Clone)]
 pub struct StreamReport {
     /// Campaign name from the spec.
@@ -256,14 +216,13 @@ impl StreamReport {
         self.trials
     }
 
-    /// Per-(method, policy) aggregates in the same order as
-    /// [`CampaignReport::cells`].
+    /// Per-(method, policy) aggregates, sorted by method label then
+    /// policy name.
     pub fn cells(&self) -> Vec<CellStat> {
         self.cells.values().cloned().collect()
     }
 
-    /// The same matrix summary [`CampaignReport::render_text`] produces
-    /// for these trials, byte for byte.
+    /// Human-readable matrix summary for terminal output.
     pub fn render_text(&self) -> String {
         let mut out = format!(
             "campaign '{}': {} trials, {} retries, {} inconclusive after retry\n",
@@ -323,11 +282,21 @@ mod tests {
         }
     }
 
+    /// The report the run service builds: rows in matrix order plus the
+    /// fold of those rows.
+    fn report(name: &str, trials: Vec<TrialResult>) -> CampaignReport {
+        let mut summary = StreamReport::new(name);
+        for t in &trials {
+            summary.absorb(t);
+        }
+        CampaignReport { trials, summary }
+    }
+
     #[test]
     fn cells_aggregate_and_sort_deterministically() {
-        let report = CampaignReport {
-            name: "t".to_string(),
-            trials: vec![
+        let report = report(
+            "t",
+            vec![
                 trial(MethodKind::Scan, "control", Verdict::Reachable, 0),
                 trial(
                     MethodKind::Scan,
@@ -337,7 +306,7 @@ mod tests {
                 ),
                 trial(MethodKind::Ddos, "control", Verdict::Reachable, 1),
             ],
-        };
+        );
         let cells = report.cells();
         assert_eq!(cells.len(), 2);
         assert_eq!(cells[0].method, "ddos", "sorted by label");
@@ -349,7 +318,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_report_matches_batch_report_in_any_absorb_order() {
+    fn absorb_order_does_not_change_the_fold() {
         let trials = vec![
             trial(MethodKind::Scan, "control", Verdict::Reachable, 0),
             trial(
@@ -361,36 +330,33 @@ mod tests {
             trial(MethodKind::Ddos, "control", Verdict::Reachable, 1),
             trial(MethodKind::Spam, "kw", Verdict::Reachable, 0),
         ];
-        let batch = CampaignReport {
-            name: "s".to_string(),
-            trials: trials.clone(),
-        };
-        // Absorb in reverse (a completion order stealing could produce).
-        let mut stream = StreamReport::new("s");
-        for t in trials.iter().rev() {
-            stream.absorb(t);
+        let mut forward = StreamReport::new("s");
+        for t in &trials {
+            forward.absorb(t);
         }
-        assert_eq!(stream.render_text(), batch.render_text());
-        assert_eq!(stream.cells(), batch.cells());
-        assert_eq!(stream.trial_count(), 4);
+        // Reversed: a completion order work stealing could produce.
+        let mut reversed = StreamReport::new("s");
+        for t in trials.iter().rev() {
+            reversed.absorb(t);
+        }
+        assert_eq!(forward.render_text(), reversed.render_text());
+        assert_eq!(forward.cells(), reversed.cells());
+        assert_eq!(reversed.trial_count(), 4);
     }
 
     #[test]
     fn json_row_is_exactly_the_envelope_trial_element() {
         let t = trial(MethodKind::Scan, "control", Verdict::Reachable, 0);
-        let report = CampaignReport {
-            name: "r".to_string(),
-            trials: vec![t.clone()],
-        };
+        let report = report("r", vec![t.clone()]);
         assert!(report.to_json().contains(&t.to_json_row()));
     }
 
     #[test]
     fn json_is_stable_and_escapes_strings() {
-        let report = CampaignReport {
-            name: "q\"uote".to_string(),
-            trials: vec![trial(MethodKind::Scan, "control", Verdict::Reachable, 0)],
-        };
+        let report = report(
+            "q\"uote",
+            vec![trial(MethodKind::Scan, "control", Verdict::Reachable, 0)],
+        );
         let a = report.to_json();
         let b = report.to_json();
         assert_eq!(a, b);

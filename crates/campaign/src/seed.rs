@@ -1,12 +1,11 @@
 //! Seed derivation: every trial's seed is a pure function of the
 //! campaign's master seed and the trial's index in the expanded matrix,
-//! so sharded and sequential runs agree byte-for-byte.
+//! so runs on any number of workers agree byte-for-byte.
 
 /// SplitMix64 finalizer — decorrelates seeds that differ in few bits.
 ///
 /// Delegates to the workspace's single shared definition in
-/// [`underradar_netsim::rng::splitmix64_mix`] (also used by
-/// `bench::runner`), so the two seed-derivation paths cannot drift.
+/// [`underradar_netsim::rng::splitmix64_mix`].
 pub fn splitmix64(x: u64) -> u64 {
     underradar_netsim::rng::splitmix64_mix(x)
 }

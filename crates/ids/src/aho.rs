@@ -1,250 +1,10 @@
-//! Aho–Corasick multi-pattern string matching, implemented from scratch.
+//! Substring search for rule verification.
 //!
-//! A *fast pattern matcher*: one automaton over the distinguishing
-//! content of every rule lets a single pass over a payload shortlist the
-//! rules worth full evaluation, which is how Snort scales to large
-//! subscription rulesets.
-//!
-//! Supports per-pattern case-insensitivity by folding input bytes during the
-//! scan for insensitive patterns (two automata: sensitive and folded).
-//!
-//! This module is the **reference implementation** (plus the
-//! [`find_sub`] substring helper used by rule verification). The
-//! detection engine's and tap censor's hot paths run
-//! [`crate::dfa::PrefilterDfa`] instead — the same automaton flattened
-//! into a dense byte-classed DFA with a blocked skip loop, roughly an
-//! order of magnitude faster (see `DESIGN.md` §12); its oracle tests
-//! check it against the naive semantics this module also embodies.
-
-use std::collections::VecDeque;
-
-/// A single automaton (the public type composes two of these).
-#[derive(Debug, Default)]
-struct Automaton {
-    /// goto function: per state, 256-way transition table index.
-    goto_fn: Vec<[u32; 256]>,
-    /// fail links.
-    fail: Vec<u32>,
-    /// Pattern ids terminating at each state (including via suffix links).
-    output: Vec<Vec<u32>>,
-    patterns: usize,
-}
-
-const NONE: u32 = u32::MAX;
-
-impl Automaton {
-    fn build(patterns: &[Vec<u8>]) -> Automaton {
-        let mut a = Automaton {
-            goto_fn: vec![[NONE; 256]],
-            fail: vec![0],
-            output: vec![Vec::new()],
-            patterns: patterns.len(),
-        };
-        // Phase 1: trie.
-        for (id, pat) in patterns.iter().enumerate() {
-            let mut state = 0usize;
-            for &b in pat {
-                let next = a.goto_fn[state][b as usize];
-                state = if next == NONE {
-                    let new_state = a.goto_fn.len() as u32;
-                    a.goto_fn[state][b as usize] = new_state;
-                    a.goto_fn.push([NONE; 256]);
-                    a.fail.push(0);
-                    a.output.push(Vec::new());
-                    new_state as usize
-                } else {
-                    next as usize
-                };
-            }
-            a.output[state].push(id as u32);
-        }
-        // Phase 2: BFS fail links; convert to a complete goto function.
-        let mut queue = VecDeque::new();
-        for b in 0..256 {
-            let s = a.goto_fn[0][b];
-            if s == NONE {
-                a.goto_fn[0][b] = 0;
-            } else {
-                a.fail[s as usize] = 0;
-                queue.push_back(s);
-            }
-        }
-        while let Some(state) = queue.pop_front() {
-            let state = state as usize;
-            for b in 0..256 {
-                let next = a.goto_fn[state][b];
-                if next == NONE {
-                    a.goto_fn[state][b] = a.goto_fn[a.fail[state] as usize][b];
-                } else {
-                    let f = a.goto_fn[a.fail[state] as usize][b];
-                    a.fail[next as usize] = f;
-                    let inherited = a.output[f as usize].clone();
-                    a.output[next as usize].extend(inherited);
-                    queue.push_back(next);
-                }
-            }
-        }
-        a
-    }
-
-    /// Scan `haystack`, invoking `hit(pattern_id, end_offset)` per match.
-    fn scan<F: FnMut(u32, usize)>(&self, haystack: &[u8], fold: bool, hit: F) {
-        let mut state = 0u32;
-        self.advance(&mut state, haystack, fold, hit);
-    }
-
-    /// Advance a persistent cursor over `chunk`, invoking
-    /// `hit(pattern_id, end_offset)` per match ending within the chunk.
-    /// Offsets are chunk-relative.
-    fn advance<F: FnMut(u32, usize)>(
-        &self,
-        cursor: &mut u32,
-        chunk: &[u8],
-        fold: bool,
-        mut hit: F,
-    ) {
-        if self.patterns == 0 {
-            return;
-        }
-        let mut state = *cursor as usize;
-        for (i, &byte) in chunk.iter().enumerate() {
-            let b = if fold {
-                byte.to_ascii_lowercase()
-            } else {
-                byte
-            };
-            state = self.goto_fn[state][b as usize] as usize;
-            for &id in &self.output[state] {
-                hit(id, i + 1);
-            }
-        }
-        *cursor = state as u32;
-    }
-}
-
-/// Persistent matcher position for one byte stream: carries the automaton
-/// cursors across chunk boundaries so a stream can be matched incrementally
-/// — each byte is examined exactly once, and patterns that straddle chunk
-/// (TCP segment) boundaries are still found. `Default` is the stream start.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AcStreamState {
-    sensitive: u32,
-    insensitive: u32,
-}
-
-/// A multi-pattern matcher with per-pattern case sensitivity.
-#[derive(Debug)]
-pub struct AhoCorasick {
-    sensitive: Automaton,
-    /// Patterns stored lowercase; input is folded during the scan.
-    insensitive: Automaton,
-    /// Maps (automaton, local id) back to the caller's pattern index.
-    sensitive_ids: Vec<usize>,
-    insensitive_ids: Vec<usize>,
-    pattern_count: usize,
-}
-
-/// A single match: which pattern, and the byte offset just past its end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Match {
-    /// Index of the pattern (in construction order).
-    pub pattern: usize,
-    /// Offset one past the last matched byte.
-    pub end: usize,
-}
-
-impl AhoCorasick {
-    /// Build a matcher from `(pattern, case_insensitive)` pairs. Empty
-    /// patterns never match.
-    pub fn new(patterns: &[(Vec<u8>, bool)]) -> AhoCorasick {
-        let mut sens = Vec::new();
-        let mut sens_ids = Vec::new();
-        let mut insens = Vec::new();
-        let mut insens_ids = Vec::new();
-        for (idx, (pat, nocase)) in patterns.iter().enumerate() {
-            if pat.is_empty() {
-                continue;
-            }
-            if *nocase {
-                insens.push(pat.to_ascii_lowercase());
-                insens_ids.push(idx);
-            } else {
-                sens.push(pat.clone());
-                sens_ids.push(idx);
-            }
-        }
-        AhoCorasick {
-            sensitive: Automaton::build(&sens),
-            insensitive: Automaton::build(&insens),
-            sensitive_ids: sens_ids,
-            insensitive_ids: insens_ids,
-            pattern_count: patterns.len(),
-        }
-    }
-
-    /// Number of patterns the matcher was built from.
-    pub fn pattern_count(&self) -> usize {
-        self.pattern_count
-    }
-
-    /// All matches in `haystack`, in end-offset order per automaton.
-    pub fn find_all(&self, haystack: &[u8]) -> Vec<Match> {
-        let mut out = Vec::new();
-        self.sensitive.scan(haystack, false, |id, end| {
-            out.push(Match {
-                pattern: self.sensitive_ids[id as usize],
-                end,
-            });
-        });
-        self.insensitive.scan(haystack, true, |id, end| {
-            out.push(Match {
-                pattern: self.insensitive_ids[id as usize],
-                end,
-            });
-        });
-        out.sort_by_key(|m| (m.end, m.pattern));
-        out
-    }
-
-    /// The set of distinct patterns occurring in `haystack` (the prefilter
-    /// query: "which rules could possibly fire?").
-    pub fn matching_patterns(&self, haystack: &[u8]) -> Vec<usize> {
-        let mut seen = vec![false; self.pattern_count];
-        self.sensitive.scan(haystack, false, |id, _| {
-            seen[self.sensitive_ids[id as usize]] = true;
-        });
-        self.insensitive.scan(haystack, true, |id, _| {
-            seen[self.insensitive_ids[id as usize]] = true;
-        });
-        seen.iter()
-            .enumerate()
-            .filter_map(|(i, &s)| s.then_some(i))
-            .collect()
-    }
-
-    /// Whether any pattern occurs in `haystack` (early-exit possible but the
-    /// scan is already linear; kept simple).
-    pub fn any_match(&self, haystack: &[u8]) -> bool {
-        !self.matching_patterns(haystack).is_empty()
-    }
-
-    /// Incremental scan: advance `state` over `chunk`, invoking
-    /// `hit(pattern_index)` for every pattern occurrence that *ends* inside
-    /// `chunk` (a pattern may repeat). Feeding a stream chunk-by-chunk finds
-    /// exactly the matches a one-shot scan of the concatenation would,
-    /// including matches that straddle chunk boundaries, without rescanning
-    /// earlier bytes.
-    pub fn feed<F: FnMut(usize)>(&self, state: &mut AcStreamState, chunk: &[u8], mut hit: F) {
-        self.sensitive
-            .advance(&mut state.sensitive, chunk, false, |id, _| {
-                hit(self.sensitive_ids[id as usize]);
-            });
-        self.insensitive
-            .advance(&mut state.insensitive, chunk, true, |id, _| {
-                hit(self.insensitive_ids[id as usize]);
-            });
-    }
-}
+//! [`find_sub`] confirms one `content` pattern (with optional case
+//! folding) inside a payload or stream window. The multi-pattern
+//! Aho–Corasick prefilter that shortlists rules before this check is
+//! [`crate::dfa::PrefilterDfa`]; `tests/engine_equiv.rs` proves the engine
+//! built on it against a naive evaluate-every-rule reference.
 
 /// Naive single-pattern search used for rule verification (with optional
 /// case folding). Returns the offset of the first occurrence at or after
@@ -277,125 +37,6 @@ pub fn find_sub(haystack: &[u8], needle: &[u8], nocase: bool, from: usize) -> Op
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn pats(p: &[(&str, bool)]) -> Vec<(Vec<u8>, bool)> {
-        p.iter().map(|(s, n)| (s.as_bytes().to_vec(), *n)).collect()
-    }
-
-    #[test]
-    fn classic_he_hers_his_she() {
-        let ac = AhoCorasick::new(&pats(&[
-            ("he", false),
-            ("she", false),
-            ("his", false),
-            ("hers", false),
-        ]));
-        let matches = ac.find_all(b"ushers");
-        let found: Vec<(usize, usize)> = matches.iter().map(|m| (m.pattern, m.end)).collect();
-        // "she" ends at 4, "he" ends at 4, "hers" ends at 6.
-        assert!(found.contains(&(0, 4)), "{found:?}");
-        assert!(found.contains(&(1, 4)), "{found:?}");
-        assert!(found.contains(&(3, 6)), "{found:?}");
-        assert!(!found.iter().any(|&(p, _)| p == 2), "no 'his'");
-    }
-
-    #[test]
-    fn overlapping_matches_reported() {
-        let ac = AhoCorasick::new(&pats(&[("aa", false)]));
-        let matches = ac.find_all(b"aaaa");
-        assert_eq!(matches.len(), 3);
-    }
-
-    #[test]
-    fn case_insensitive_patterns_fold_input() {
-        let ac = AhoCorasick::new(&pats(&[("falun", true), ("GET", false)]));
-        assert_eq!(ac.matching_patterns(b"FaLuN gong article"), vec![0]);
-        assert_eq!(
-            ac.matching_patterns(b"get / http"),
-            Vec::<usize>::new(),
-            "GET is sensitive"
-        );
-        assert_eq!(ac.matching_patterns(b"GET / falun"), vec![0, 1]);
-    }
-
-    #[test]
-    fn empty_pattern_set_and_empty_haystack() {
-        let ac = AhoCorasick::new(&[]);
-        assert!(ac.find_all(b"anything").is_empty());
-        let ac = AhoCorasick::new(&pats(&[("x", false)]));
-        assert!(ac.find_all(b"").is_empty());
-        let ac = AhoCorasick::new(&[(Vec::new(), false)]);
-        assert!(ac.find_all(b"abc").is_empty(), "empty patterns never match");
-    }
-
-    #[test]
-    fn binary_patterns() {
-        let ac = AhoCorasick::new(&[(vec![0x00, 0xff, 0x00], false), (vec![0xde, 0xad], false)]);
-        let hay = [0x01, 0x00, 0xff, 0x00, 0xde, 0xad, 0xbe];
-        let matches = ac.find_all(&hay);
-        assert_eq!(matches.len(), 2);
-        assert_eq!(matches[0], Match { pattern: 0, end: 4 });
-        assert_eq!(matches[1], Match { pattern: 1, end: 6 });
-    }
-
-    #[test]
-    fn matching_patterns_dedups() {
-        let ac = AhoCorasick::new(&pats(&[("ab", false)]));
-        assert_eq!(ac.matching_patterns(b"ababab"), vec![0]);
-        assert!(ac.any_match(b"xxabxx"));
-        assert!(!ac.any_match(b"xxaxbx"));
-    }
-
-    #[test]
-    fn against_naive_oracle() {
-        // Cross-check AC against find_sub on a fixed corpus.
-        let patterns = ["tor", "GFW", "block", "bbc", "xyz"];
-        let hay = b"the GFW will block bbc.com and torproject.org; BLOCK too";
-        let ac = AhoCorasick::new(&pats(&[
-            ("tor", false),
-            ("GFW", false),
-            ("block", true),
-            ("bbc", false),
-            ("xyz", false),
-        ]));
-        let got = ac.matching_patterns(hay);
-        for (i, p) in patterns.iter().enumerate() {
-            let nocase = i == 2;
-            let expect = find_sub(hay, p.as_bytes(), nocase, 0).is_some();
-            assert_eq!(got.contains(&i), expect, "pattern {p}");
-        }
-    }
-
-    #[test]
-    fn feed_matches_across_chunk_boundaries() {
-        let ac = AhoCorasick::new(&pats(&[("falun", true), ("GET", false)]));
-        let mut state = AcStreamState::default();
-        let mut hits = Vec::new();
-        ac.feed(&mut state, b"GET /fal", |p| hits.push(p));
-        assert_eq!(hits, vec![1], "only GET so far");
-        ac.feed(&mut state, b"un HTTP", |p| hits.push(p));
-        assert_eq!(hits, vec![1, 0], "straddling keyword found incrementally");
-    }
-
-    #[test]
-    fn feed_equals_one_shot_scan_for_any_split() {
-        let ac = AhoCorasick::new(&pats(&[("aba", false), ("bab", true), ("xyz", false)]));
-        let hay = b"abababxybabaxyzab";
-        let mut whole: Vec<usize> = Vec::new();
-        let mut s = AcStreamState::default();
-        ac.feed(&mut s, hay, |p| whole.push(p));
-        // Hit order interleaves differently across chunk boundaries (the two
-        // automata run per chunk); the match multiset must be identical.
-        whole.sort_unstable();
-        for split in 0..hay.len() {
-            let mut parts: Vec<usize> = Vec::new();
-            let mut st = AcStreamState::default();
-            ac.feed(&mut st, &hay[..split], |p| parts.push(p));
-            ac.feed(&mut st, &hay[split..], |p| parts.push(p));
-            parts.sort_unstable();
-            assert_eq!(parts, whole, "split at {split}");
-        }
-    }
 
     #[test]
     fn find_sub_offsets_and_nocase() {

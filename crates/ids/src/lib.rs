@@ -16,11 +16,11 @@
 //!   and address/port predicates with `$VAR` substitution and negation,
 //!   `content` matches with `nocase`/`offset`/`depth`, TCP `flags`,
 //!   `dsize`, `flow` state, and `threshold` rate limiting.
-//! * [`aho`] — a from-scratch Aho–Corasick multi-pattern matcher (kept as
-//!   the reference implementation and substring-search helper).
-//! * [`dfa`] — the same automaton flattened into a dense byte-classed DFA
-//!   with a root-row skip loop: the fast-pattern prefilter actually used
-//!   by the engine and the tap censor (Snort's architecture, at GB/s).
+//! * [`aho`] — the substring search that confirms one rule's content.
+//! * [`dfa`] — an Aho–Corasick automaton flattened into a dense
+//!   byte-classed DFA with a root-row skip loop: the fast-pattern
+//!   prefilter used by the engine and the tap censor (Snort's
+//!   architecture, at GB/s).
 //! * [`stream`] — TCP stream reassembly with the RST-teardown semantics the
 //!   paper's stateful mimicry exploits (§4.1): a RST makes the reassembler
 //!   stop looking at the flow.
@@ -31,12 +31,10 @@ pub mod aho;
 pub mod alert;
 pub mod dfa;
 pub mod engine;
-pub mod lru;
 pub mod parser;
 pub mod rule;
 pub mod stream;
 
-pub use aho::AhoCorasick;
 pub use alert::{Alert, AlertLog};
 pub use dfa::PrefilterDfa;
 pub use engine::DetectionEngine;

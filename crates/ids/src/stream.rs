@@ -329,7 +329,7 @@ struct Flow {
 /// cloned per segment — read it through [`StreamReassembler::stream_of_id`]
 /// (an index dereference, no hash), and match incrementally by feeding
 /// the last `new_bytes` of that view (the newly reassembled tail) to a
-/// persistent [`crate::aho::AcStreamState`].
+/// persistent [`crate::dfa::PrefilterDfa`] cursor.
 #[derive(Debug, Clone, Copy)]
 pub struct FlowContext {
     /// The flow key.

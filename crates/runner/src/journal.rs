@@ -59,11 +59,14 @@ const MAX_RECORD_LEN: u32 = 1 << 28;
 const TAG_COMPLETE: u8 = 1;
 const TAG_RETRY: u8 = 2;
 
-/// Why a journal could not be opened against a spec.
+/// Why a run failed: the journal could not be opened against the spec or
+/// written, or the row sink refused a row.
 #[derive(Debug)]
 pub enum JournalError {
     /// Filesystem failure.
     Io(io::Error),
+    /// The row sink failed to take or flush a row (e.g. a closed pipe).
+    Sink(io::Error),
     /// The file exists but does not start with a valid journal header.
     BadHeader,
     /// The header's format version is not [`VERSION`].
@@ -83,6 +86,7 @@ impl std::fmt::Display for JournalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             JournalError::Io(e) => write!(f, "journal I/O error: {e}"),
+            JournalError::Sink(e) => write!(f, "row sink error: {e}"),
             JournalError::BadHeader => write!(f, "not a checkpoint journal (bad header)"),
             JournalError::WrongVersion(v) => {
                 write!(f, "unsupported journal version {v} (want {VERSION})")

@@ -3,14 +3,14 @@
 
 //! # underradar-runner
 //!
-//! A durable run service wrapping the campaign engine
-//! ([`underradar_campaign::engine`]): work-stealing scheduling, streaming
-//! verdict rows, and a checksummed checkpoint journal with crash recovery
-//! and exact resume.
+//! The run service: the one executor every campaign goes through. It
+//! drives the per-trial campaign engine ([`underradar_campaign::engine`])
+//! with work-stealing scheduling, streaming verdict rows, and an optional
+//! checksummed checkpoint journal with crash recovery and exact resume.
 //!
-//! The engine gives determinism (byte-identical reports at any worker
-//! count); this crate adds **durability** without giving that up. A
-//! campaign run through [`service::run_service`]:
+//! The engine makes each trial a pure function of the spec and its index;
+//! this crate schedules, commits and journals trials without giving that
+//! up. A campaign run through [`service::run_service`]:
 //!
 //! - schedules trials over per-worker deques with steal-half rebalancing
 //!   ([`underradar_campaign::steal`]), so a straggler cell never idles the
@@ -27,15 +27,19 @@
 //! - re-enqueues `Inconclusive` trials at a global retry tail so
 //!   conclusive work finishes first.
 //!
+//! [`service::run_in_memory`] is the same service with no journal and a
+//! sink that keeps every row, for callers that want the trials themselves
+//! as a [`underradar_campaign::CampaignReport`].
+//!
 //! The contract, tested in this crate: the final report and merged
-//! telemetry of a resumed run are **byte-identical** to an uninterrupted
-//! run — which is itself byte-identical to `engine::run` — at any worker
-//! count and any interruption point.
+//! telemetry are **byte-identical** to a sequential index-order reference
+//! at any worker count, and a resumed run's are byte-identical to an
+//! uninterrupted run's at any interruption point.
 //!
 //! ```
 //! use underradar_campaign::{CampaignSpec, MethodKind, NamedPolicy};
 //! use underradar_censor::CensorPolicy;
-//! # use underradar_runner::{RunConfig, run_service, VecSink};
+//! # use underradar_runner::run_in_memory;
 //!
 //! let spec = CampaignSpec::new("doc", 7)
 //!     .target("twitter.com")
@@ -43,10 +47,10 @@
 //!     .policy(NamedPolicy::new("control", CensorPolicy::new()))
 //!     .run_secs(30);
 //! let tel = underradar_telemetry::Telemetry::disabled();
-//! let mut sink = VecSink::new();
-//! let outcome = run_service(&spec, &RunConfig::new(2), &tel, &mut sink).unwrap();
-//! assert_eq!(outcome.report.trial_count(), 1);
-//! assert_eq!(sink.rows.len(), 1);
+//! let report = run_in_memory(&spec, 2, &tel)?;
+//! assert_eq!(report.trials.len(), 1);
+//! assert_eq!(report.cells()[0].trials, 1);
+//! # Ok::<(), underradar_runner::JournalError>(())
 //! ```
 
 pub mod codec;
@@ -55,5 +59,7 @@ pub mod service;
 pub mod sink;
 
 pub use journal::{Journal, JournalError, Replay};
-pub use service::{run_service, ProgressConfig, RunConfig, RunProfile, ServiceOutcome};
-pub use sink::{JsonlSink, NullSink, RowSink, VecSink};
+pub use service::{
+    run_in_memory, run_service, ProgressConfig, RunConfig, RunProfile, ServiceOutcome,
+};
+pub use sink::{CollectSink, JsonlSink, NullSink, RowSink};

@@ -1,7 +1,7 @@
-//! The durable run service: work-stealing workers, a completion-order
-//! committer, and an optional checkpoint journal — composed so the final
-//! report and merged telemetry are **byte-identical** to
-//! `campaign::engine::run` at any worker count, interrupted or not.
+//! The run service, the one executor every campaign goes through:
+//! work-stealing workers, a completion-order committer, and an optional
+//! checkpoint journal — composed so the final report and merged telemetry
+//! are **byte-identical** at any worker count, interrupted or not.
 //!
 //! ## Architecture
 //!
@@ -31,6 +31,11 @@
 //! [`StreamMerger`] keyed by trial index — both order-independent, which
 //! is where completion-order scheduling and index-order determinism meet.
 //!
+//! The committer fails stop: when a journal append or the sink fails, it
+//! returns the error and drops the channel's receiver, so every worker's
+//! next send fails and the worker exits instead of blocking on a full
+//! channel.
+//!
 //! ## Resume
 //!
 //! With a checkpoint path, completed trials replayed from the journal are
@@ -48,11 +53,11 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use underradar_campaign::engine::{self, AttemptOutcome, PolicyPrep, ScopeConfig};
-use underradar_campaign::{CampaignSpec, StreamReport, Trial, TrialResult};
+use underradar_campaign::{CampaignReport, CampaignSpec, StreamReport, Trial, TrialResult};
 use underradar_telemetry::{Registry, StreamMerger, Telemetry};
 
 use crate::journal::{Journal, JournalError, Replay};
-use crate::sink::RowSink;
+use crate::sink::{CollectSink, RowSink};
 
 /// Cadence of live progress snapshots: a snapshot is emitted when either
 /// threshold is reached since the previous one, whichever comes first.
@@ -146,8 +151,7 @@ pub struct RunProfile {
 /// What a service run did, beyond its report.
 #[derive(Debug)]
 pub struct ServiceOutcome {
-    /// The campaign report, built incrementally (renders byte-identically
-    /// to the batch engine's report).
+    /// The campaign report, built incrementally in completion order.
     pub report: StreamReport,
     /// Trials completed by *this* process.
     pub executed: usize,
@@ -372,6 +376,9 @@ pub fn run_service(
                 });
             }
             drop(tx);
+            // The receiver lives in this closure, so an early return drops
+            // it and unblocks every worker waiting in `send`.
+            let rx = rx;
             // Committer: the calling thread absorbs completions until
             // every remaining trial has a final verdict. With progress
             // enabled it polls on the snapshot cadence so a long-running
@@ -395,7 +402,7 @@ pub fn run_service(
                         if let Some(j) = journal.as_mut() {
                             j.append_complete(index as u64, &result, &acc)?;
                         }
-                        sink.row(&result)?;
+                        sink.row(&result).map_err(JournalError::Sink)?;
                         report.absorb(&result);
                         merger.absorb(index as u64, &acc);
                         done += 1;
@@ -435,7 +442,7 @@ pub fn run_service(
     if let Some(j) = journal.as_mut() {
         j.sync()?;
     }
-    sink.flush()?;
+    sink.flush().map_err(JournalError::Sink)?;
     tel.merge_registry(&merger.finish());
     if let Some(p) = progress.as_mut() {
         // Always close the stream with a final snapshot: done == total,
@@ -469,6 +476,22 @@ pub fn run_service(
     })
 }
 
+/// Run `spec` in memory on `workers` workers: the run service with no
+/// journal and a sink that keeps every row. Returns the trials in matrix
+/// order with the service's fold of them, and merges telemetry into `tel`.
+pub fn run_in_memory(
+    spec: &CampaignSpec,
+    workers: usize,
+    tel: &Telemetry,
+) -> Result<CampaignReport, JournalError> {
+    let mut sink = CollectSink::new();
+    let outcome = run_service(spec, &RunConfig::new(workers), tel, &mut sink)?;
+    Ok(CampaignReport {
+        trials: sink.into_index_order(),
+        summary: outcome.report,
+    })
+}
+
 /// One worker: drain own deque, steal, then service the retry tail. Each
 /// unit of work is a *single attempt*; inconclusive attempts re-enqueue
 /// at the tail rather than looping inline.
@@ -496,7 +519,7 @@ fn worker_loop(
         if let Some(chunk) = popped {
             for &index in &remaining[chunk.start..chunk.end] {
                 let t0 = Instant::now();
-                attempt_once(
+                let sent = attempt_once(
                     spec,
                     trials,
                     preps,
@@ -509,6 +532,9 @@ fn worker_loop(
                 );
                 stats.busy_ns[w].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 stats.attempts[w].fetch_add(1, Ordering::Relaxed);
+                if !sent {
+                    return;
+                }
             }
             continue;
         }
@@ -516,11 +542,14 @@ fn worker_loop(
         match task {
             Some(t) => {
                 let t0 = Instant::now();
-                attempt_once(
+                let sent = attempt_once(
                     spec, trials, preps, scope_cfg, retry_tail, tx, t.index, t.attempt, t.acc,
                 );
                 stats.busy_ns[w].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 stats.attempts[w].fetch_add(1, Ordering::Relaxed);
+                if !sent {
+                    return;
+                }
             }
             // Deques and retry tail both empty at this check: any retry
             // enqueued concurrently is followed by its enqueuer's own
@@ -530,6 +559,9 @@ fn worker_loop(
     }
 }
 
+/// Run one attempt and hand its outcome to the committer. Returns `false`
+/// when the committer is gone (it failed and returned), so the worker
+/// stops.
 #[allow(clippy::too_many_arguments)]
 fn attempt_once(
     spec: &CampaignSpec,
@@ -541,23 +573,26 @@ fn attempt_once(
     index: usize,
     attempt: u32,
     mut acc: Registry,
-) {
+) -> bool {
     let trial = &trials[index];
     let prep = &preps[trial.policy_idx];
     match engine::run_trial_attempt(spec, prep, trial, attempt, &mut acc, scope_cfg) {
-        AttemptOutcome::Done(result) => {
-            let _ = tx.send(Msg::Done {
+        AttemptOutcome::Done(result) => tx
+            .send(Msg::Done {
                 index,
                 result,
                 acc: Box::new(acc),
-            });
-        }
+            })
+            .is_ok(),
         AttemptOutcome::Retry { next_attempt } => {
-            let _ = tx.send(Msg::Retry {
+            let msg = Msg::Retry {
                 index,
                 next_attempt,
                 acc: Box::new(acc.clone()),
-            });
+            };
+            if tx.send(msg).is_err() {
+                return false;
+            }
             retry_tail
                 .lock()
                 .expect("retry tail poisoned")
@@ -566,6 +601,7 @@ fn attempt_once(
                     attempt: next_attempt,
                     acc,
                 });
+            true
         }
     }
 }

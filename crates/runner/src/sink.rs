@@ -63,23 +63,30 @@ impl<W: Write> RowSink for JsonlSink<W> {
     }
 }
 
-/// Collects rows in memory (tests and small interactive runs).
+/// Keeps every row in memory: the sink behind [`crate::run_in_memory`]
+/// and `exp_campaign --json`, which need the trials themselves.
 #[derive(Default)]
-pub struct VecSink {
-    /// Rendered JSON rows in completion order.
-    pub rows: Vec<String>,
+pub struct CollectSink {
+    /// Trials in completion order.
+    pub rows: Vec<TrialResult>,
 }
 
-impl VecSink {
+impl CollectSink {
     /// An empty sink.
-    pub fn new() -> VecSink {
-        VecSink::default()
+    pub fn new() -> CollectSink {
+        CollectSink::default()
+    }
+
+    /// The collected trials in trial-index order.
+    pub fn into_index_order(mut self) -> Vec<TrialResult> {
+        self.rows.sort_by_key(|t| t.index);
+        self.rows
     }
 }
 
-impl RowSink for VecSink {
+impl RowSink for CollectSink {
     fn row(&mut self, result: &TrialResult) -> io::Result<()> {
-        self.rows.push(result.to_json_row());
+        self.rows.push(result.clone());
         Ok(())
     }
 }
@@ -121,11 +128,14 @@ mod tests {
     }
 
     #[test]
-    fn vec_sink_collects_and_null_sink_discards() {
-        let mut v = VecSink::new();
+    fn collect_sink_orders_by_index_and_null_sink_discards() {
+        let mut v = CollectSink::new();
+        let mut late = result();
+        late.index = 7;
+        v.row(&late).expect("collects");
         v.row(&result()).expect("collects");
-        assert_eq!(v.rows.len(), 1);
-        assert_eq!(v.rows[0], result().to_json_row());
+        let rows: Vec<usize> = v.into_index_order().iter().map(|t| t.index).collect();
+        assert_eq!(rows, [3, 7]);
         NullSink.row(&result()).expect("discards");
     }
 }

@@ -2,9 +2,10 @@
 //! is swallowed by packet loss (`Inconclusive`) converges on retry, and
 //! the retry count lands in the campaign telemetry.
 
-use underradar_campaign::{engine, CampaignSpec, MethodKind, NamedPolicy, RetryPolicy};
+use underradar_campaign::{CampaignSpec, MethodKind, NamedPolicy, RetryPolicy};
 use underradar_censor::CensorPolicy;
 use underradar_core::verdict::Verdict;
+use underradar_runner::{run_in_memory, JournalError};
 use underradar_telemetry::Telemetry;
 
 /// Pinned empirically: at 35% client-link loss, master seed 6 loses the
@@ -23,9 +24,9 @@ fn lossy_spec(master_seed: u64) -> CampaignSpec {
 }
 
 #[test]
-fn first_attempt_inconclusive_retry_converges() {
+fn first_attempt_inconclusive_retry_converges() -> Result<(), JournalError> {
     let tel = Telemetry::enabled();
-    let report = engine::run(&lossy_spec(PINNED_MASTER_SEED), 1, &tel);
+    let report = run_in_memory(&lossy_spec(PINNED_MASTER_SEED), 1, &tel)?;
     let trial = &report.trials[0];
 
     assert_eq!(trial.retries, 1, "exactly one retry should be needed");
@@ -43,18 +44,20 @@ fn first_attempt_inconclusive_retry_converges() {
     assert_eq!(snap.counters.get("campaign.retries"), Some(&1));
     assert_eq!(snap.counters.get("campaign.method.spam.retries"), Some(&1));
     assert_eq!(snap.counters.get("campaign.trials"), Some(&1));
+    Ok(())
 }
 
 #[test]
-fn retry_budget_is_bounded() {
+fn retry_budget_is_bounded() -> Result<(), JournalError> {
     // At 50% loss most seeds exhaust the budget: retries never exceed
     // the policy's max and the final verdict is reported as-is.
     let spec = lossy_spec(17)
         .client_link_loss(0.5)
         .retry(RetryPolicy::default());
-    let report = engine::run(&spec, 1, &Telemetry::disabled());
+    let report = run_in_memory(&spec, 1, &Telemetry::disabled())?;
     let trial = &report.trials[0];
     assert_eq!(trial.retries, RetryPolicy::default().max_retries);
     assert!(matches!(trial.verdict, Verdict::Inconclusive(_)));
     assert_eq!(report.inconclusive_final(), 1);
+    Ok(())
 }

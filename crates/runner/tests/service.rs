@@ -1,15 +1,24 @@
 //! End-to-end determinism and durability tests for the run service.
 //!
 //! The contract under test: service output (final report text, cell
-//! stats, merged telemetry JSON, trace JSONL) is byte-identical to the
-//! batch engine's, at any worker count, with or without checkpointing,
-//! and across a resume at **every** checkpoint boundary.
+//! stats, merged telemetry JSON, trace JSONL) is byte-identical to a
+//! sequential index-order reference, at any worker count, with or without
+//! checkpointing, and across a resume at **every** checkpoint boundary.
+//! The service also fails stop: a sink error returns promptly.
 
+use std::io;
 use std::path::PathBuf;
+use std::sync::mpsc;
+use std::time::Duration;
 
-use underradar_campaign::{engine, CampaignSpec, MethodKind, NamedPolicy, RetryPolicy};
+use underradar_campaign::engine::{self, ScopeConfig};
+use underradar_campaign::{
+    CampaignSpec, MethodKind, NamedPolicy, RetryPolicy, StreamReport, TrialResult,
+};
 use underradar_censor::CensorPolicy;
-use underradar_runner::{run_service, JournalError, ProgressConfig, RunConfig, VecSink};
+use underradar_runner::{
+    run_in_memory, run_service, CollectSink, JournalError, ProgressConfig, RowSink, RunConfig,
+};
 use underradar_telemetry::Telemetry;
 
 fn tmp(name: &str) -> PathBuf {
@@ -50,37 +59,116 @@ fn lossy_spec() -> CampaignSpec {
         .run_secs(40)
 }
 
+/// Sorted JSON rows of what a sink collected.
+fn sorted_rows(sink: CollectSink) -> Vec<String> {
+    let mut rows: Vec<String> = sink.rows.iter().map(TrialResult::to_json_row).collect();
+    rows.sort();
+    rows
+}
+
 /// Everything the determinism contract covers, as comparable strings.
 fn fingerprint_run(spec: &CampaignSpec, cfg: &RunConfig) -> (String, String, String, Vec<String>) {
     let tel = Telemetry::with_trace(4096);
-    let mut sink = VecSink::new();
+    let mut sink = CollectSink::new();
     let outcome = run_service(spec, cfg, &tel, &mut sink).expect("service run");
     let snap = tel.snapshot();
-    let mut rows = sink.rows;
-    rows.sort();
     (
         outcome.report.render_text(),
         snap.to_json(),
         snap.trace_jsonl(),
-        rows,
+        sorted_rows(sink),
     )
 }
 
+/// The sequential reference: every trial on the calling thread in index
+/// order, each registry merged into `tel` in index order.
+fn reference(spec: &CampaignSpec, tel: &Telemetry) -> (StreamReport, Vec<TrialResult>) {
+    let preps = engine::prepare(spec);
+    let cfg = ScopeConfig::of(tel).with_trace_capacity(spec.trace_capacity);
+    let mut report = StreamReport::new(&spec.name);
+    let mut trials = Vec::new();
+    for trial in spec.expand() {
+        let (result, registry) = engine::run_trial(spec, &preps[trial.policy_idx], &trial, cfg);
+        tel.merge_registry(&registry);
+        report.absorb(&result);
+        trials.push(result);
+    }
+    (report, trials)
+}
+
 #[test]
-fn service_matches_the_batch_engine_byte_for_byte() {
+fn service_matches_the_sequential_reference_byte_for_byte() {
     let spec = spec();
     let tel = Telemetry::with_trace(4096);
-    let batch = engine::run(&spec, 2, &tel);
-    let batch_snap = tel.snapshot();
+    let (reference, trials) = reference(&spec, &tel);
+    let reference_snap = tel.snapshot();
 
     let (report, tel_json, trace, rows) = fingerprint_run(&spec, &RunConfig::new(3));
-    assert_eq!(report, batch.render_text());
-    assert_eq!(tel_json, batch_snap.to_json());
-    assert_eq!(trace, batch_snap.trace_jsonl());
-    // Sorted rows are exactly the envelope's trial rows.
-    let mut batch_rows: Vec<String> = batch.trials.iter().map(|t| t.to_json_row()).collect();
-    batch_rows.sort();
-    assert_eq!(rows, batch_rows);
+    assert_eq!(report, reference.render_text());
+    assert_eq!(tel_json, reference_snap.to_json());
+    assert_eq!(trace, reference_snap.trace_jsonl());
+    let mut reference_rows: Vec<String> = trials.iter().map(|t| t.to_json_row()).collect();
+    reference_rows.sort();
+    assert_eq!(rows, reference_rows);
+}
+
+#[test]
+fn in_memory_runs_return_rows_in_matrix_order() {
+    let spec = spec();
+    let tel = Telemetry::disabled();
+    let (reference, trials) = reference(&spec, &tel);
+    for workers in [1, 4] {
+        let report = run_in_memory(&spec, workers, &tel).expect("in-memory run");
+        let indices: Vec<usize> = report.trials.iter().map(|t| t.index).collect();
+        assert_eq!(indices, (0..spec.trial_count()).collect::<Vec<_>>());
+        let rows: Vec<String> = report.trials.iter().map(|t| t.to_json_row()).collect();
+        let expected: Vec<String> = trials.iter().map(|t| t.to_json_row()).collect();
+        assert_eq!(rows, expected, "{workers} workers");
+        assert_eq!(report.render_text(), reference.render_text());
+    }
+}
+
+/// A sink whose `n`th row (1-based) fails.
+struct FailingSink {
+    seen: usize,
+    fail_at: usize,
+}
+
+impl RowSink for FailingSink {
+    fn row(&mut self, _result: &TrialResult) -> io::Result<()> {
+        self.seen += 1;
+        if self.seen == self.fail_at {
+            return Err(io::Error::other("sink refused the row"));
+        }
+        Ok(())
+    }
+}
+
+/// A committer error must stop the run: the receiver is dropped, workers
+/// blocked on the full channel see a failed send and exit, and the error
+/// comes back instead of hanging the scope.
+#[test]
+fn a_failing_sink_returns_its_error_promptly() {
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let spec = CampaignSpec::new("failing-sink", 3)
+            .target("twitter.com")
+            .method(MethodKind::Scan)
+            .policy(NamedPolicy::new("control", CensorPolicy::new()))
+            .trials_per_cell(400)
+            .run_secs(20);
+        let mut sink = FailingSink {
+            seen: 0,
+            fail_at: 2,
+        };
+        let result = run_service(&spec, &RunConfig::new(2), &Telemetry::disabled(), &mut sink);
+        let _ = done_tx.send(result.map(|o| o.executed));
+    });
+    match done_rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(Err(JournalError::Sink(e))) => assert_eq!(e.to_string(), "sink refused the row"),
+        Ok(other) => panic!("expected the sink's error, got {other:?}"),
+        Err(_) => panic!("run_service did not return within 60 s after a sink error"),
+    }
 }
 
 #[test]
@@ -104,17 +192,17 @@ fn one_and_many_workers_agree_with_and_without_checkpointing() {
 }
 
 #[test]
-fn retries_survive_the_tail_queue_and_match_the_engine() {
+fn retries_survive_the_tail_queue_and_match_the_reference() {
     let spec = lossy_spec();
     let tel = Telemetry::enabled();
-    let batch = engine::run(&spec, 1, &tel);
-    let retried: u64 = batch.trials.iter().map(|t| u64::from(t.retries)).sum();
+    let (reference, _) = reference(&spec, &tel);
+    let retried: u64 = reference.cells().iter().map(|c| c.retries).sum();
     assert!(retried > 0, "lossy spec must exercise retries");
 
     let tel2 = Telemetry::enabled();
-    let mut sink = VecSink::new();
+    let mut sink = CollectSink::new();
     let outcome = run_service(&spec, &RunConfig::new(4), &tel2, &mut sink).expect("service run");
-    assert_eq!(outcome.report.render_text(), batch.render_text());
+    assert_eq!(outcome.report.render_text(), reference.render_text());
     assert_eq!(tel2.snapshot().to_json(), tel.snapshot().to_json());
 }
 
@@ -130,7 +218,7 @@ fn assert_resume_at_every_boundary(name: &str, spec: &CampaignSpec) -> usize {
     // prefixes of the finished journal as kill points.
     let path = tmp(name);
     let tel = Telemetry::with_trace(4096);
-    let mut sink = VecSink::new();
+    let mut sink = CollectSink::new();
     let cfg = RunConfig::new(2).checkpoint(path.clone()).fsync_every(1);
     run_service(spec, &cfg, &tel, &mut sink).expect("full run");
     let full = std::fs::read(&path).expect("journal bytes");
@@ -151,7 +239,7 @@ fn assert_resume_at_every_boundary(name: &str, spec: &CampaignSpec) -> usize {
     for (i, &cut) in boundaries.iter().enumerate() {
         std::fs::write(&path, &full[..cut]).expect("truncate to boundary");
         let tel = Telemetry::with_trace(4096);
-        let mut sink = VecSink::new();
+        let mut sink = CollectSink::new();
         let outcome = run_service(spec, &cfg, &tel, &mut sink).expect("resumed run");
         assert_eq!(outcome.restored + outcome.executed, trials, "boundary {i}");
         let snap = tel.snapshot();
@@ -209,7 +297,7 @@ fn mid_record_kill_recovers_without_double_counting() {
     let path = tmp("midrecord");
     let cfg = RunConfig::new(2).checkpoint(path.clone()).fsync_every(1);
     let tel = Telemetry::with_trace(4096);
-    run_service(&spec, &cfg, &tel, &mut VecSink::new()).expect("full run");
+    run_service(&spec, &cfg, &tel, &mut CollectSink::new()).expect("full run");
     let full = std::fs::read(&path).expect("journal bytes");
 
     let header = underradar_runner::journal::HEADER_LEN as usize;
@@ -217,7 +305,8 @@ fn mid_record_kill_recovers_without_double_counting() {
     for cut in (header..full.len()).step_by(step) {
         std::fs::write(&path, &full[..cut]).expect("mid-record cut");
         let tel = Telemetry::with_trace(4096);
-        let outcome = run_service(&spec, &cfg, &tel, &mut VecSink::new()).expect("recovered run");
+        let outcome =
+            run_service(&spec, &cfg, &tel, &mut CollectSink::new()).expect("recovered run");
         assert_eq!(outcome.restored + outcome.executed, trials, "cut {cut}");
         assert_eq!(
             outcome.report.trial_count(),
@@ -239,16 +328,14 @@ fn progress_snapshots_leave_rows_report_and_registry_unchanged() {
     let baseline = fingerprint_run(&spec, &RunConfig::new(2));
 
     let tel = Telemetry::with_trace(4096);
-    let mut sink = VecSink::new();
+    let mut sink = CollectSink::new();
     let cfg = RunConfig::new(2).progress(ProgressConfig {
         every_trials: 1,
         every_ms: 10_000,
     });
     let outcome = run_service(&spec, &cfg, &tel, &mut sink).expect("progress run");
     assert_eq!(outcome.report.render_text(), baseline.0);
-    let mut rows = sink.rows;
-    rows.sort();
-    assert_eq!(rows, baseline.3);
+    assert_eq!(sorted_rows(sink), baseline.3);
 
     // At least the final snapshot always fires, and it reaches the
     // registry as runner.progress.* entries.
@@ -275,7 +362,7 @@ fn progress_snapshots_leave_rows_report_and_registry_unchanged() {
 fn service_outcome_carries_a_populated_profile() {
     let spec = spec();
     let tel = Telemetry::disabled();
-    let mut sink = VecSink::new();
+    let mut sink = CollectSink::new();
     let outcome = run_service(&spec, &RunConfig::new(3), &tel, &mut sink).expect("service run");
     let p = &outcome.profile;
     assert_eq!(p.worker_busy_ns.len(), 3);
@@ -296,10 +383,10 @@ fn resuming_a_finished_run_executes_nothing() {
     let path = tmp("finished");
     let cfg = RunConfig::new(2).checkpoint(path.clone());
     let tel = Telemetry::with_trace(4096);
-    run_service(&spec, &cfg, &tel, &mut VecSink::new()).expect("full run");
+    run_service(&spec, &cfg, &tel, &mut CollectSink::new()).expect("full run");
 
     let tel2 = Telemetry::with_trace(4096);
-    let mut sink = VecSink::new();
+    let mut sink = CollectSink::new();
     let outcome = run_service(&spec, &cfg, &tel2, &mut sink).expect("no-op resume");
     assert_eq!(outcome.executed, 0);
     assert_eq!(outcome.restored, spec.trial_count());
@@ -313,9 +400,9 @@ fn a_journal_from_a_different_spec_is_refused() {
     let path = tmp("wrongspec");
     let cfg = RunConfig::new(1).checkpoint(path.clone());
     let tel = Telemetry::disabled();
-    run_service(&spec(), &cfg, &tel, &mut VecSink::new()).expect("first spec");
+    run_service(&spec(), &cfg, &tel, &mut CollectSink::new()).expect("first spec");
     let other = spec().run_secs(31);
-    match run_service(&other, &cfg, &tel, &mut VecSink::new()) {
+    match run_service(&other, &cfg, &tel, &mut CollectSink::new()) {
         Err(JournalError::SpecMismatch { .. }) => {}
         other => panic!("expected SpecMismatch, got {other:?}"),
     }

@@ -114,16 +114,30 @@ awk '
   }
 ' "$tmpdir/campaign_trace_1.txt"
 
-echo "==> run-service smoke (service vs plain engine; 1 vs 8 workers byte identity)"
+echo "==> run-service smoke (--service is implied; 1 vs 8 workers byte identity)"
 ./target/release/exp_campaign --service --shards 1 > "$tmpdir/service_1.txt" 2>/dev/null
 ./target/release/exp_campaign --service --shards 8 > "$tmpdir/service_8.txt" 2>/dev/null
 cmp "$tmpdir/campaign_plain.txt" "$tmpdir/service_1.txt"
 cmp "$tmpdir/service_1.txt" "$tmpdir/service_8.txt"
 
-echo "==> safety-audit smoke (--audit: double run, 1-vs-4-shard and service-vs-batch identity)"
+echo "==> pipe smoke (--jsonl into a closed pipe fails stop instead of hanging)"
+# head exits after one row; the sink's next write fails with EPIPE and
+# the run must return promptly. A timeout (status 124) means a hang.
+set +e
+timeout 30 ./target/release/exp_campaign --synthetic 20000 --shards 2 --jsonl 2>/dev/null \
+  | head -1 > "$tmpdir/pipe_head.txt"
+pipe_status=("${PIPESTATUS[@]}")
+set -e
+if [ "${pipe_status[0]}" -eq 124 ]; then
+  echo "exp_campaign --jsonl hung on a closed pipe (killed after 30s)" >&2
+  exit 1
+fi
+grep -q '^{"index":' "$tmpdir/pipe_head.txt"
+
+echo "==> safety-audit smoke (--audit: double run, 1-vs-4 and 1-vs-8-shard identity)"
 # The exposure ledger rides the merged telemetry registry, so the audit
 # inherits the campaign's determinism contract: byte-identical for any
-# shard count and for the durable service vs the plain engine. The paper
+# shard count. The paper
 # matrix must also surface at least one declared-vs-observed divergence
 # (a cell that declares itself fully evaded while the adversary holds
 # attributable events).

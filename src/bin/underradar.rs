@@ -2,7 +2,7 @@
 //! against the simulated testbed.
 //!
 //! ```text
-//! underradar experiments [E1..E13|all]     regenerate paper tables/figures
+//! underradar experiments [e1..e14|a1|all]  regenerate paper tables/figures
 //! underradar survey --domains a,b,c [--block d] [--keyword k]
 //!                                          run a stealthy survey
 //! underradar pcap <out.pcap>               write a sample capture for Wireshark
@@ -25,7 +25,7 @@ use underradar::protocols::dns::DnsName;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  underradar experiments [e1..e13|a1|all]\n  underradar survey --domains a,b,c \
+        "usage:\n  underradar experiments [e1..e14|a1|all]\n  underradar survey --domains a,b,c \
          [--block domain]... [--keyword kw]...\n  underradar pcap <out.pcap>\n  underradar calibrate"
     );
     ExitCode::from(2)
@@ -47,26 +47,13 @@ fn main() -> ExitCode {
 
 fn experiments(which: &str) -> ExitCode {
     use underradar_bench::experiments as exp;
-    let report = match which.to_ascii_lowercase().as_str() {
-        "all" => exp::run_all(),
-        "e1" => exp::e01_testbed::run(),
-        "e2" => exp::e02_scan::run(),
-        "e3" => exp::e03_fig2_spam_cdf::run(),
-        "e4" => exp::e04_gfc_dns::run(),
-        "e5" => exp::e05_ddos::run(),
-        "e6" => exp::e06_fig3a_stateless::run(),
-        "e7" => exp::e07_fig3b_stateful::run(),
-        "e8" => exp::e08_syria::run(),
-        "e9" => exp::e09_mvr::run(),
-        "e10" => exp::e10_spoofability::run(),
-        "e11" => exp::e11_ethics_load::run(),
-        "e12" => exp::e12_risk_matrix::run(),
-        "e13" => exp::e13_evasion::run(),
-        "a1" => exp::a1_ablations::run(),
-        other => {
-            eprintln!("unknown experiment '{other}' (e1..e13 or all)");
-            return ExitCode::from(2);
-        }
+    let report = if which.eq_ignore_ascii_case("all") {
+        exp::run_all()
+    } else if let Some((_, run_with)) = exp::find(which) {
+        run_with(&underradar_telemetry::Telemetry::disabled())
+    } else {
+        eprintln!("unknown experiment '{which}' (e1..e14, a1 or all)");
+        return ExitCode::from(2);
     };
     print!("{report}");
     ExitCode::SUCCESS

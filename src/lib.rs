@@ -63,7 +63,7 @@ pub use underradar_workloads as workloads;
 pub mod prelude {
     //! One-stop imports for driving measurements: the testbed, the unified
     //! [`Probe`] trait with every method that implements it, verdicts and
-    //! risk reports, and the campaign engine.
+    //! risk reports, and the campaign engine with its executor.
 
     pub use underradar_campaign::{
         engine as campaign_engine, CampaignReport, CampaignSpec, CellStat, MethodKind, NamedPolicy,
@@ -86,4 +86,5 @@ pub mod prelude {
     pub use underradar_netsim::flow::{FlowId, FlowKey, FlowTuple};
     pub use underradar_netsim::time::{SimDuration, SimTime};
     pub use underradar_protocols::dns::DnsName;
+    pub use underradar_runner::run_in_memory;
 }
