@@ -42,8 +42,6 @@
 //!   stdout bytes are untouched.
 //! * `--trace-capacity N` (or `UNDERRADAR_TRACE_CAPACITY=N`) — size the
 //!   flight-recorder ring for `--trace` / `--trace-diff` runs.
-//! * `--service` — accepted for compatibility and changes nothing: every
-//!   run goes through the run service.
 //! * `--checkpoint PATH` — journal every completed trial to `PATH`. A
 //!   killed run resumed with the same flags skips journaled trials and
 //!   produces byte-identical final output.
@@ -51,6 +49,9 @@
 //!   synthetic scale matrix (cheap scan trials; for million-trial runs).
 //! * `--jsonl` — emit one JSON row per trial the moment it completes
 //!   (completion order; each row carries its `index`).
+//!
+//! An unknown flag, a missing value, or a malformed number exits with
+//! status 2 and a message naming the flag.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -67,6 +68,11 @@ use underradar_runner::{
 };
 use underradar_surveil::exposure::{DeclaredCell, ExposureLedger, SafetyAudit};
 use underradar_telemetry::{trace, Registry, Telemetry, TraceRecord, DEFAULT_TRACE_CAPACITY};
+
+const USAGE: &str = "usage: exp_campaign [--shards N] [--impair] \
+[--json|--jsonl|--telemetry|--trace] [--trace-capacity N] [--trace-diff A B] \
+[--audit[=json]] [--progress[=N]] [--profile] [--profile-json PATH] \
+[--checkpoint PATH] [--synthetic N]";
 
 /// Wall-clock accumulator for the named stages of one run (`prepare`,
 /// `run`, `score`), reported by `--profile` and `--profile-json`.
@@ -100,27 +106,84 @@ impl StageClock {
     }
 }
 
-/// The value following `--flag` (or inline `--flag=value`), when present.
-fn parse_value(args: &[String], flag: &str) -> Option<String> {
-    let inline = format!("{flag}=");
-    let mut it = args.iter();
-    let mut found = None;
-    while let Some(arg) = it.next() {
-        if arg == flag {
-            found = it.next().cloned();
-        } else if let Some(v) = arg.strip_prefix(&inline) {
-            found = Some(v.to_string());
-        }
-    }
-    found
+/// The parsed command line.
+#[derive(Debug, Default)]
+struct Args {
+    /// Worker threads; 0 (the default) runs one.
+    shards: usize,
+    impair: bool,
+    profile: bool,
+    profile_json: Option<String>,
+    /// `Some(json)` under `--audit` (`false`) or `--audit=json` (`true`).
+    audit: Option<bool>,
+    progress: Option<ProgressConfig>,
+    checkpoint: Option<PathBuf>,
+    synthetic: Option<usize>,
+    trace_diff: Option<(u64, u64)>,
+    out: OutputSpec,
 }
 
-/// `--trace-diff A B`: the two trial indices to diff, when present.
-fn parse_trace_diff(args: &[String]) -> Option<(u64, u64)> {
-    let pos = args.iter().position(|a| a == "--trace-diff")?;
-    let a = args.get(pos + 1)?.parse().ok()?;
-    let b = args.get(pos + 2)?.parse().ok()?;
-    Some((a, b))
+fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{flag}: '{v}' is not a non-negative integer"))
+}
+
+/// Parse `args` on top of `out`, the output spec the environment selects.
+/// Later occurrences of a flag override earlier ones. An unknown flag, a
+/// missing value or a malformed number is an error that names the flag.
+fn parse_args(args: &[String], out: OutputSpec) -> Result<Args, String> {
+    let mut parsed = Args {
+        out,
+        ..Args::default()
+    };
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, v)) if flag.starts_with("--") => (flag, Some(v)),
+            _ => (arg.as_str(), None),
+        };
+        // The flag's value: inline (`--flag=value`) or the next argument.
+        let mut value = || {
+            inline
+                .map(str::to_string)
+                .or_else(|| rest.next().cloned())
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match (flag, inline) {
+            ("--shards", _) => parsed.shards = number(flag, &value()?)?,
+            ("--synthetic", _) => parsed.synthetic = Some(number(flag, &value()?)?),
+            ("--checkpoint", _) => parsed.checkpoint = Some(PathBuf::from(value()?)),
+            ("--profile-json", _) => parsed.profile_json = Some(value()?),
+            ("--trace-capacity", _) => {
+                let v = value()?;
+                let capacity = trace::capacity_from_env(Some(v.clone()))
+                    .ok_or_else(|| format!("{flag}: '{v}' is not a positive integer"))?;
+                parsed.out = parsed.out.trace_capacity(Some(capacity));
+            }
+            ("--progress", None) => parsed.progress = Some(ProgressConfig::default()),
+            ("--progress", Some(v)) => {
+                let every_trials = number(flag, v)?;
+                parsed.progress = Some(ProgressConfig {
+                    every_trials,
+                    ..ProgressConfig::default()
+                });
+            }
+            ("--audit", None) => parsed.audit = Some(false),
+            ("--audit", Some("json")) => parsed.audit = Some(true),
+            ("--trace-diff", None) => {
+                parsed.trace_diff = Some((number(flag, &value()?)?, number(flag, &value()?)?));
+            }
+            ("--impair", None) => parsed.impair = true,
+            ("--profile", None) => parsed.profile = true,
+            ("--json", None) => parsed.out = parsed.out.json(true),
+            ("--jsonl", None) => parsed.out = parsed.out.jsonl(true),
+            ("--telemetry", None) => parsed.out = parsed.out.telemetry(true),
+            ("--trace", None) => parsed.out = parsed.out.trace(true),
+            _ if arg.starts_with('-') => return Err(format!("unknown flag '{arg}'")),
+            _ => return Err(format!("unexpected argument '{arg}'")),
+        }
+    }
+    Ok(parsed)
 }
 
 /// Trial `index`'s stage decisions: its trace segment minus the campaign
@@ -325,64 +388,123 @@ fn run_audit(spec: &CampaignSpec, cfg: &RunConfig, json: bool, clock: &StageCloc
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let shards = parse_value(&args, "--shards")
-        .map_or(1, |v| v.parse().expect("--shards needs a positive integer"))
-        .max(1);
-    let profile = args.iter().any(|a| a == "--profile");
-    let profile_json = parse_value(&args, "--profile-json");
-    let audit = args.iter().rev().find_map(|a| match a.as_str() {
-        "--audit" => Some(false),
-        "--audit=json" => Some(true),
-        _ => None,
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv, OutputSpec::from_cli(std::iter::empty())).unwrap_or_else(|e| {
+        eprintln!("exp_campaign: {e}\n{USAGE}");
+        std::process::exit(2);
     });
-    let progress = args.iter().rev().find_map(|a| {
-        if a == "--progress" {
-            return Some(ProgressConfig::default());
-        }
-        a.strip_prefix("--progress=").map(|v| ProgressConfig {
-            every_trials: v.parse().expect("--progress=N needs a positive integer"),
-            ..ProgressConfig::default()
-        })
-    });
-    let out_spec = OutputSpec::from_cli(args.iter().cloned());
-    let trace_capacity = out_spec
+    let trace_capacity = args
+        .out
         .trace_capacity_value()
         .unwrap_or(DEFAULT_TRACE_CAPACITY);
     let clock = StageClock::default();
-    let mut spec = clock.time("prepare", || match parse_value(&args, "--synthetic") {
-        Some(n) => synthetic_campaign(n.parse().expect("--synthetic needs a trial count")),
+    let mut spec = clock.time("prepare", || match args.synthetic {
+        Some(n) => synthetic_campaign(n),
         None => paper_campaign(4),
     });
-    spec = spec.trace_capacity(out_spec.trace_capacity_value());
-    if args.iter().any(|a| a == "--impair") {
+    spec = spec.trace_capacity(args.out.trace_capacity_value());
+    if args.impair {
         spec = spec.client_link_reorder(0.2).client_link_duplicate(0.1);
     }
-    let mut cfg = RunConfig::new(shards);
-    if let Some(path) = parse_value(&args, "--checkpoint") {
-        cfg = cfg.checkpoint(PathBuf::from(path));
+    let mut cfg = RunConfig::new(args.shards.max(1));
+    if let Some(path) = args.checkpoint {
+        cfg = cfg.checkpoint(path);
     }
-    if let Some(p) = progress {
+    if let Some(p) = args.progress {
         cfg = cfg.progress(p);
     }
-    if let Some((a, b)) = parse_trace_diff(&args) {
+    if let Some((a, b)) = args.trace_diff {
         run_trace_diff(&spec, &cfg, a, b, trace_capacity, &clock);
         return;
     }
-    let run_profile = match audit {
+    let run_profile = match args.audit {
         Some(json) => run_audit(&spec, &cfg, json, &clock),
-        None => run_mode(&spec, &cfg, out_spec.mode(), trace_capacity, &clock),
+        None => run_mode(&spec, &cfg, args.out.mode(), trace_capacity, &clock),
     };
-    if let Some(path) = profile_json {
+    if let Some(path) = args.profile_json {
         write_profile_json(&path, &clock, &run_profile);
     }
-    if profile {
+    if args.profile {
         eprintln!("--- profile ---");
         for (stage, total, calls) in clock.rows() {
             eprintln!(
                 "stage {stage}: {:.3}s over {calls} calls",
                 total.as_secs_f64()
             );
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_args(&args, OutputSpec::new())
+    }
+
+    #[test]
+    fn flags_parse_in_both_value_forms() {
+        let a = parse(&[
+            "--shards",
+            "4",
+            "--synthetic=200",
+            "--checkpoint",
+            "j.ckpt",
+            "--impair",
+            "--progress=50",
+            "--audit=json",
+            "--trace-capacity=8",
+            "--profile-json",
+            "p.json",
+        ])
+        .expect("valid");
+        assert_eq!((a.shards, a.synthetic, a.audit), (4, Some(200), Some(true)));
+        assert_eq!(a.checkpoint, Some(PathBuf::from("j.ckpt")));
+        assert!(a.impair && !a.profile);
+        assert_eq!(a.progress.map(|p| p.every_trials), Some(50));
+        assert_eq!(a.out.trace_capacity_value(), Some(8));
+        assert_eq!(a.profile_json.as_deref(), Some("p.json"));
+        let b = parse(&[
+            "--shards=2",
+            "--shards",
+            "3",
+            "--trace-diff",
+            "3",
+            "7",
+            "--json",
+        ])
+        .expect("valid");
+        assert_eq!(b.shards, 3, "the last --shards wins");
+        assert_eq!(b.trace_diff, Some((3, 7)));
+        assert_eq!(b.out.mode(), OutputMode::Json);
+        assert_eq!(parse(&[]).expect("valid").out.mode(), OutputMode::Text);
+    }
+
+    #[test]
+    fn bad_arguments_are_errors_that_name_the_flag() {
+        for (args, named) in [
+            (&["--shard", "4"][..], "unknown flag '--shard'"),
+            (
+                &["--synthetic", "200", "--bogus"][..],
+                "unknown flag '--bogus'",
+            ),
+            (&["--service"][..], "unknown flag '--service'"),
+            (&["--json=1"][..], "unknown flag '--json=1'"),
+            (&["--audit=text"][..], "unknown flag '--audit=text'"),
+            (&["--progress", "5"][..], "unexpected argument '5'"),
+            (&["--shards", "x"][..], "--shards: 'x'"),
+            (&["--shards"][..], "--shards needs a value"),
+            (&["--synthetic", "-3"][..], "--synthetic: '-3'"),
+            (&["--progress=soon"][..], "--progress: 'soon'"),
+            (&["--trace-capacity", "0"][..], "--trace-capacity: '0'"),
+            (&["--trace-capacity=many"][..], "--trace-capacity: 'many'"),
+            (&["--trace-diff", "1"][..], "--trace-diff needs a value"),
+            (&["--checkpoint"][..], "--checkpoint needs a value"),
+        ] {
+            let err = parse(args).expect_err("rejected");
+            assert!(err.starts_with(named), "{args:?}: {err}");
         }
     }
 }

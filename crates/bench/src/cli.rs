@@ -33,7 +33,7 @@ pub enum OutputMode {
     /// One JSON object carrying the report and the registry.
     Json,
     /// One JSON object per row, streamed as rows complete. Campaign-backed
-    /// binaries emit true per-trial rows (`exp_campaign --service --jsonl`
+    /// binaries emit true per-trial rows (`exp_campaign --jsonl`
     /// streams them the moment each trial finishes); generic experiments
     /// emit one row per report line plus a trailing telemetry row.
     Jsonl,

@@ -26,7 +26,7 @@ pub fn scope(parent: &Telemetry) -> Telemetry {
 }
 
 /// Fold a finished scope's totals into `parent` (counters add, gauges
-/// overwrite, histograms bucket-add, spans/events append; delegates to
+/// overwrite, histograms bucket-add, trace records append; delegates to
 /// [`Telemetry::absorb`]).
 pub fn absorb(parent: &Telemetry, sub: &Telemetry) {
     parent.absorb(sub);

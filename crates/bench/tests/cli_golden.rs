@@ -58,7 +58,7 @@ fn golden_json() {
          \"telemetry\":{\
          \"counters\":{\"netsim.events_processed\":42,\"telemetry.trace.dropped\":0},\
          \"gauges\":{\"censor.tap.live_flows\":3},\
-         \"histograms\":{},\"spans\":[],\"events\":[]}}\n"
+         \"histograms\":{}}}\n"
     );
 }
 
@@ -74,7 +74,7 @@ fn golden_jsonl() {
          {\"experiment\":\"e00_demo\",\"telemetry\":{\
          \"counters\":{\"netsim.events_processed\":42,\"telemetry.trace.dropped\":0},\
          \"gauges\":{\"censor.tap.live_flows\":3},\
-         \"histograms\":{},\"spans\":[],\"events\":[]}}\n"
+         \"histograms\":{}}}\n"
     );
 }
 

@@ -160,4 +160,9 @@ fn e09_registry_covers_the_surveillance_pipeline() {
         !registry.histograms["workloads.population.pkt_bytes"].is_empty(),
         "packet-size histogram populated"
     );
+    assert_eq!(
+        registry.histograms["span.workloads.population.ns"].count(),
+        1,
+        "one observation of the generation window's simulated length"
+    );
 }

@@ -103,9 +103,8 @@ impl InlineCensor {
     }
 
     /// Mirror inline-censor totals into `tel` under `censor.inline.*`:
-    /// forward/drop counters, per-mechanism action counts, and one
-    /// structured event per logged action. Call once, at the end of a run
-    /// (the events append).
+    /// forward/drop counters and per-mechanism action counts. Idempotent;
+    /// call at the end of a run.
     pub fn export_telemetry(&self, tel: &underradar_telemetry::Telemetry) {
         if !tel.is_enabled() {
             return;

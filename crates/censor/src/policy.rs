@@ -60,9 +60,8 @@ impl CensorActionKind {
 }
 
 /// Export a logged action stream into `tel`: one counter per blocking
-/// mechanism under `<prefix>.actions.<label>`, plus one structured event
-/// per action keyed to its simulated time. The counters are idempotent;
-/// the events append, so call this once per run.
+/// mechanism under `<prefix>.actions.<label>`. Idempotent. The flight
+/// recorder, not this export, keeps the per-action record.
 pub fn export_actions(
     tel: &underradar_telemetry::Telemetry,
     prefix: &str,
@@ -78,16 +77,6 @@ pub fn export_actions(
     }
     for (label, n) in counts {
         tel.set_counter(&format!("{prefix}.actions.{label}"), n);
-    }
-    for a in actions {
-        tel.event(
-            a.time.as_nanos(),
-            &format!("{prefix}.action"),
-            &[
-                ("kind", a.kind.label().into()),
-                ("client", a.client.to_string().into()),
-            ],
-        );
     }
 }
 

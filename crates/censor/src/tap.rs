@@ -163,9 +163,8 @@ impl TapCensor {
     }
 
     /// Mirror tap-censor totals into `tel` under `censor.tap.*`: packet
-    /// and injection counters, live flow-tracking state, per-mechanism
-    /// action counts, and one structured event per logged action. Call
-    /// once, at the end of a run (the events append).
+    /// and injection counters, live flow-tracking state, and per-mechanism
+    /// action counts. Idempotent; call at the end of a run.
     pub fn export_telemetry(&self, tel: &underradar_telemetry::Telemetry) {
         if !tel.is_enabled() {
             return;

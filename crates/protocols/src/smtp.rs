@@ -27,7 +27,7 @@ enum ServerState {
 ///
 /// Received messages are kept in the service instance; since the host keeps
 /// the instance alive until the connection closes, experiments usually use
-/// [`SmtpServerService::with_sink`] to collect messages into a shared log.
+/// [`SmtpServerService::with_log`] to collect messages into a shared log.
 pub struct SmtpServerService {
     state: ServerState,
     buffer: String,
@@ -36,11 +36,11 @@ pub struct SmtpServerService {
     recipient: String,
     /// Messages received over this connection.
     pub received: Vec<EmailMessage>,
-    sink: Option<std::rc::Rc<std::cell::RefCell<Vec<EmailMessage>>>>,
+    log: Option<std::rc::Rc<std::cell::RefCell<Vec<EmailMessage>>>>,
 }
 
 impl SmtpServerService {
-    /// New session handler with no shared sink.
+    /// New session handler with no shared log.
     pub fn new() -> SmtpServerService {
         SmtpServerService {
             state: ServerState::Greeted,
@@ -49,16 +49,14 @@ impl SmtpServerService {
             sender: String::new(),
             recipient: String::new(),
             received: Vec::new(),
-            sink: None,
+            log: None,
         }
     }
 
-    /// New session handler that appends completed messages to `sink`.
-    pub fn with_sink(
-        sink: std::rc::Rc<std::cell::RefCell<Vec<EmailMessage>>>,
-    ) -> SmtpServerService {
+    /// New session handler that appends completed messages to `log`.
+    pub fn with_log(log: std::rc::Rc<std::cell::RefCell<Vec<EmailMessage>>>) -> SmtpServerService {
         let mut s = SmtpServerService::new();
-        s.sink = Some(sink);
+        s.log = Some(log);
         s
     }
 
@@ -66,8 +64,8 @@ impl SmtpServerService {
         if self.state == ServerState::Data {
             if line == "." {
                 if let Some(msg) = EmailMessage::from_wire(&self.data) {
-                    if let Some(sink) = &self.sink {
-                        sink.borrow_mut().push(msg.clone());
+                    if let Some(log) = &self.log {
+                        log.borrow_mut().push(msg.clone());
                     }
                     self.received.push(msg);
                     api.send(b"250 OK: queued\r\n");
@@ -327,7 +325,7 @@ mod tests {
         let mut server = Host::new("mx", server_ip);
         let sink = inbox.clone();
         server.add_tcp_listener(25, move || {
-            Box::new(SmtpServerService::with_sink(sink.clone()))
+            Box::new(SmtpServerService::with_log(sink.clone()))
         });
         let server = sim.add_node(Box::new(server));
         sim.wire(

@@ -4,7 +4,7 @@
 //! ## Format
 //!
 //! ```text
-//! header  := magic[8]="URCKPT01" version:u32 fingerprint:u64 trials:u64
+//! header  := magic[8]="URCKPT01" version:u32=2 fingerprint:u64 trials:u64
 //! record  := len:u32 crc32:u32 payload[len]
 //! payload := tag:u8 body
 //!   tag 1 (complete) := index:u64 trial_result registry_delta
@@ -12,6 +12,10 @@
 //! ```
 //!
 //! All integers little-endian; `crc32` is IEEE CRC-32 over the payload.
+//! Registries use `underradar_telemetry::codec`'s encoding: counters,
+//! gauges, histograms, trace records. Version 1 also carried span and
+//! event sections; a version-1 journal is refused
+//! ([`JournalError::WrongVersion`]) rather than misdecoded.
 //! A *complete* record carries everything the run derived from the trial:
 //! its result row and its telemetry delta. A *retry* record checkpoints an
 //! `Inconclusive` attempt — the attempt number to run next plus the
@@ -49,7 +53,7 @@ use crate::codec::{encode_trial_result, read_trial_result};
 /// Journal file magic (8 bytes, versioned by the trailing digits).
 pub const MAGIC: [u8; 8] = *b"URCKPT01";
 /// Format version written into (and required from) the header.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 /// Header length in bytes: magic + version + fingerprint + trial count.
 pub const HEADER_LEN: u64 = 8 + 4 + 8 + 8;
 /// Upper bound on a single record payload (a registry delta for one
@@ -542,6 +546,29 @@ mod tests {
         let (_, replay) = Journal::open_or_create(&path, 7, 4).expect("reopen");
         assert_eq!(replay.completed.len(), 1);
         assert!(replay.retries.is_empty(), "complete supersedes retries");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn older_version_is_refused_not_misdecoded() {
+        let path = tmp("version");
+        {
+            let (mut j, _) = Journal::open_or_create(&path, 7, 4).expect("create");
+            j.append_complete(0, &result(0), &delta(0)).expect("append");
+            j.sync().expect("sync");
+        }
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("write");
+        assert!(matches!(
+            Journal::open_or_create(&path, 7, 4),
+            Err(JournalError::WrongVersion(1))
+        ));
+        assert_eq!(
+            std::fs::read(&path).expect("read"),
+            bytes,
+            "a refused journal is left untouched"
+        );
         let _ = std::fs::remove_file(&path);
     }
 

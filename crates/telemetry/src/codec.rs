@@ -23,7 +23,7 @@ use std::collections::BTreeSet;
 use std::sync::{Mutex, OnceLock};
 
 use crate::hist::{Histogram, BUCKET_COUNT};
-use crate::registry::{Event, FieldValue, Registry, SpanRecord};
+use crate::registry::{FieldValue, Registry};
 use crate::trace::{TraceFlow, TraceRecord};
 
 /// Why a payload failed to decode.
@@ -37,6 +37,9 @@ pub enum CodecError {
     BadUtf8,
     /// A bucket index exceeded [`BUCKET_COUNT`].
     BadBucket(u8),
+    /// A histogram's buckets do not sum to its count, or its minimum
+    /// exceeds its maximum (rendering such a histogram would panic).
+    BadHistogram,
     /// Bytes remained after the registry was fully decoded.
     TrailingBytes(usize),
 }
@@ -48,6 +51,7 @@ impl std::fmt::Display for CodecError {
             CodecError::BadTag(t) => write!(f, "unknown tag byte {t:#04x}"),
             CodecError::BadUtf8 => write!(f, "invalid UTF-8 in string"),
             CodecError::BadBucket(i) => write!(f, "histogram bucket index {i} out of range"),
+            CodecError::BadHistogram => write!(f, "histogram counts or bounds are inconsistent"),
             CodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes after registry"),
         }
     }
@@ -188,7 +192,7 @@ fn read_field_value(r: &mut Reader<'_>) -> Result<FieldValue, CodecError> {
 
 // ---- registry ----
 
-/// Serialize a registry exactly (all six sections, trace included).
+/// Serialize a registry exactly (all four sections, trace included).
 pub fn encode_registry(reg: &Registry) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
     put_u32(&mut out, reg.counters.len() as u32);
@@ -219,22 +223,6 @@ pub fn encode_registry(reg: &Registry) -> Vec<u8> {
         for (i, n) in nonzero {
             out.push(i as u8);
             put_u64(&mut out, n);
-        }
-    }
-    put_u32(&mut out, reg.spans.len() as u32);
-    for s in &reg.spans {
-        put_str(&mut out, &s.name);
-        put_u64(&mut out, s.start_ns);
-        put_u64(&mut out, s.end_ns);
-    }
-    put_u32(&mut out, reg.events.len() as u32);
-    for e in &reg.events {
-        put_u64(&mut out, e.t_ns);
-        put_str(&mut out, &e.kind);
-        put_u32(&mut out, e.fields.len() as u32);
-        for (k, v) in &e.fields {
-            put_str(&mut out, k);
-            put_field_value(&mut out, v);
         }
     }
     put_u32(&mut out, reg.trace.len() as u32);
@@ -302,29 +290,11 @@ pub fn read_registry(r: &mut Reader<'_>) -> Result<Registry, CodecError> {
             }
             buckets[idx as usize] = r.u64()?;
         }
-        histograms.insert(name, Histogram::from_parts(count, sum, min, max, buckets));
-    }
-    let mut spans = Vec::new();
-    for _ in 0..r.u32()? {
-        let name = r.str()?;
-        let start_ns = r.u64()?;
-        let end_ns = r.u64()?;
-        spans.push(SpanRecord {
-            name,
-            start_ns,
-            end_ns,
-        });
-    }
-    let mut events = Vec::new();
-    for _ in 0..r.u32()? {
-        let t_ns = r.u64()?;
-        let kind = r.str()?;
-        let mut fields = Vec::new();
-        for _ in 0..r.u32()? {
-            let k = r.str()?;
-            fields.push((k, read_field_value(r)?));
+        let total = buckets.iter().try_fold(0u64, |acc, &n| acc.checked_add(n));
+        if total != Some(count) || (count > 0 && min > max) {
+            return Err(CodecError::BadHistogram);
         }
-        events.push(Event { t_ns, kind, fields });
+        histograms.insert(name, Histogram::from_parts(count, sum, min, max, buckets));
     }
     let mut trace = Vec::new();
     for _ in 0..r.u32()? {
@@ -366,8 +336,6 @@ pub fn read_registry(r: &mut Reader<'_>) -> Result<Registry, CodecError> {
         counters,
         gauges,
         histograms,
-        spans,
-        events,
         trace,
     })
 }
@@ -387,20 +355,6 @@ mod tests {
         }
         reg.histograms.insert("sizes".into(), h);
         reg.histograms.insert("empty".into(), Histogram::new());
-        reg.spans.push(SpanRecord {
-            name: "trial".into(),
-            start_ns: 10,
-            end_ns: 30,
-        });
-        reg.events.push(Event {
-            t_ns: 9,
-            kind: "rst".into(),
-            fields: vec![
-                ("n".into(), FieldValue::U64(3)),
-                ("d".into(), FieldValue::I64(-1)),
-                ("who".into(), FieldValue::Str("a\"b\nc".into())),
-            ],
-        });
         reg.trace.push(TraceRecord {
             t_ns: 5,
             seq: 2,
@@ -412,7 +366,10 @@ mod tests {
                 dst: std::net::Ipv4Addr::new(93, 184, 0, 10),
                 dst_port: 80,
             }),
-            fields: vec![("rule", FieldValue::U64(12))],
+            fields: vec![
+                ("rule", FieldValue::U64(12)),
+                ("delta", FieldValue::I64(-1)),
+            ],
         });
         reg.trace.push(TraceRecord {
             t_ns: 6,
@@ -420,7 +377,7 @@ mod tests {
             stage: "campaign",
             kind: "verdict",
             flow: None,
-            fields: vec![("verdict", FieldValue::Str("Blocked".into()))],
+            fields: vec![("verdict", FieldValue::Str("a\"b\nc".into()))],
         });
         reg
     }
@@ -465,16 +422,19 @@ mod tests {
     #[test]
     fn bad_tags_are_rejected_not_panicked() {
         let mut reg = Registry::new();
-        reg.events.push(Event {
+        reg.trace.push(TraceRecord {
             t_ns: 1,
-            kind: "k".into(),
-            fields: vec![("f".into(), FieldValue::U64(1))],
+            seq: 0,
+            stage: "s",
+            kind: "k",
+            flow: None,
+            fields: vec![("f", FieldValue::U64(1))],
         });
         let bytes = encode_registry(&reg);
-        // Corrupt the field-value tag byte: the payload ends with
-        // tag(1) + u64(8) + empty trace count(4).
+        // Corrupt the trace field's value tag: the payload ends with
+        // tag(1) + u64(8).
         let mut bad = bytes.clone();
-        let tag_pos = bad.len() - 13;
+        let tag_pos = bad.len() - 9;
         assert_eq!(bad[tag_pos], 0, "tag byte located");
         bad[tag_pos] = 9;
         assert_eq!(decode_registry(&bad), Err(CodecError::BadTag(9)));

@@ -3,7 +3,9 @@
 //! The paper's safety argument is quantitative — what the MVR retains, what
 //! each store tier holds, what the analyst queue costs — so every subsystem
 //! records into a shared, deterministic metric registry instead of ad-hoc
-//! stat structs. Three design rules:
+//! stat structs. A registry holds exactly two kinds of data: metrics
+//! (counters, gauges, histograms) and, when the flight recorder is
+//! attached, its per-decision [`TraceRecord`]s. Three design rules:
 //!
 //! 1. **Zero overhead when disabled.** A [`Telemetry`] handle is either
 //!    live or a null handle; pre-resolved [`Counter`]/[`Gauge`]/
@@ -11,9 +13,9 @@
 //!    The perf bench asserts the bound.
 //! 2. **Deterministic output.** Metrics are integers, histogram buckets
 //!    have fixed boundaries, snapshots serialize in sorted key order, and
-//!    spans/events are keyed to *simulated* time (nanoseconds, as produced
-//!    by the netsim clock) — so the same seed yields byte-identical JSON,
-//!    sequential or sharded.
+//!    flight-recorder records are keyed to *simulated* time (nanoseconds,
+//!    as produced by the netsim clock) — so the same seed yields
+//!    byte-identical JSON, sequential or sharded.
 //! 3. **No dependencies.** The simulator depends on this crate, not the
 //!    other way round; timestamps cross the API as raw `u64` nanoseconds.
 //!
@@ -24,9 +26,9 @@
 //! let pkts = tel.counter("netsim.events");
 //! pkts.add(3);
 //! tel.observe("ids.segment_bytes", 1460);
-//! tel.record_span("experiment.demo", 0, 2_000_000_000);
 //! let snap = tel.snapshot();
 //! assert_eq!(snap.counter("netsim.events"), 3);
+//! assert_eq!(snap.histogram("ids.segment_bytes").map(|h| h.sum()), Some(1460));
 //! assert!(snap.to_json().starts_with("{\"counters\""));
 //!
 //! let off = Telemetry::disabled();
@@ -40,13 +42,11 @@ pub mod codec;
 pub mod hist;
 pub mod json;
 pub mod registry;
-pub mod sink;
 pub mod stream;
 pub mod trace;
 
 pub use hist::{Histogram, BUCKET_COUNT};
-pub use registry::{Event, FieldValue, Registry, SpanRecord};
-pub use sink::{EventSink, MemorySink, NoopSink};
+pub use registry::{FieldValue, Registry};
 pub use stream::StreamMerger;
 pub use trace::{
     TraceBuf, TraceFlow, TraceRecord, Tracer, DEFAULT_TRACE_CAPACITY, TRACE_CAPACITY_ENV, TRACE_ENV,
@@ -63,9 +63,6 @@ struct Inner {
     counters: BTreeMap<String, Rc<Cell<u64>>>,
     gauges: BTreeMap<String, Rc<Cell<i64>>>,
     histograms: BTreeMap<String, Rc<RefCell<Histogram>>>,
-    spans: Vec<SpanRecord>,
-    events: Vec<Event>,
-    sink: Box<dyn EventSink>,
     trace: Option<Rc<RefCell<TraceBuf>>>,
 }
 
@@ -90,22 +87,13 @@ impl Telemetry {
         Telemetry { inner: None }
     }
 
-    /// A live handle with a fresh registry and a [`NoopSink`] (events are
-    /// retained in the registry; no live streaming).
+    /// A live handle with a fresh, empty registry.
     pub fn enabled() -> Self {
-        Telemetry::with_sink(Box::new(NoopSink))
-    }
-
-    /// A live handle streaming rendered event lines to `sink`.
-    pub fn with_sink(sink: Box<dyn EventSink>) -> Self {
         Telemetry {
             inner: Some(Rc::new(RefCell::new(Inner {
                 counters: BTreeMap::new(),
                 gauges: BTreeMap::new(),
                 histograms: BTreeMap::new(),
-                spans: Vec::new(),
-                events: Vec::new(),
-                sink,
                 trace: None,
             }))),
         }
@@ -240,50 +228,6 @@ impl Telemetry {
         }
     }
 
-    /// Record a structured event at simulated time `t_ns`. Retained in the
-    /// registry; also rendered and streamed if the sink is active.
-    pub fn event(&self, t_ns: u64, kind: &str, fields: &[(&str, FieldValue)]) {
-        let Some(inner) = &self.inner else { return };
-        let event = Event {
-            t_ns,
-            kind: kind.to_string(),
-            fields: fields
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
-        };
-        let mut inner = inner.borrow_mut();
-        if inner.sink.active() {
-            let line = registry::event_json(&event);
-            inner.sink.emit(&line);
-        }
-        inner.events.push(event);
-    }
-
-    /// Record a completed span over simulated time and observe its
-    /// duration into the `span.<name>.ns` histogram.
-    pub fn record_span(&self, name: &str, start_ns: u64, end_ns: u64) {
-        let Some(inner) = &self.inner else { return };
-        let record = SpanRecord {
-            name: name.to_string(),
-            start_ns,
-            end_ns,
-        };
-        let duration = record.duration_ns();
-        inner.borrow_mut().spans.push(record);
-        self.observe(&format!("span.{name}.ns"), duration);
-    }
-
-    /// Open a scoped span starting at simulated time `start_ns`; finish it
-    /// with [`Span::end`].
-    pub fn span(&self, name: &str, start_ns: u64) -> Span {
-        Span {
-            tel: self.clone(),
-            name: name.to_string(),
-            start_ns,
-        }
-    }
-
     /// A fresh sub-registry, enabled iff this handle is enabled. Scopes
     /// isolate absolute-total exports (`set_counter`-style mirroring) from
     /// one another: record each scenario, shard, or trial into its own
@@ -298,7 +242,7 @@ impl Telemetry {
     }
 
     /// Fold a finished scope's totals into this handle (counters add,
-    /// gauges overwrite, histograms bucket-add, spans/events append).
+    /// gauges overwrite, histograms bucket-add, trace records append).
     /// Absorbing in a fixed order keeps merged registries deterministic
     /// regardless of which worker produced each scope.
     pub fn absorb(&self, sub: &Telemetry) {
@@ -309,10 +253,8 @@ impl Telemetry {
 
     /// Fold an already-snapshotted registry into this live handle
     /// (deterministic sub-shard merging, e.g. an experiment's internal
-    /// sharded sweep). Spans and events are re-sorted by
-    /// (sim-time, name) after the append, so the merged order never
-    /// depends on absorb call order; trace records append in merge order
-    /// (trial grouping is the point) without the live ring bound.
+    /// sharded sweep). Trace records append in merge order (trial
+    /// grouping is the point) without the live ring bound.
     pub fn merge_registry(&self, other: &Registry) {
         let Some(inner) = &self.inner else { return };
         for (name, v) in &other.counters {
@@ -326,17 +268,8 @@ impl Telemetry {
                 cell.borrow_mut().merge(h);
             }
         }
-        let mut inner = inner.borrow_mut();
-        inner.spans.extend(other.spans.iter().cloned());
-        inner
-            .spans
-            .sort_by(|a, b| (a.start_ns, &a.name).cmp(&(b.start_ns, &b.name)));
-        inner.events.extend(other.events.iter().cloned());
-        inner
-            .events
-            .sort_by(|a, b| (a.t_ns, &a.kind).cmp(&(b.t_ns, &b.kind)));
         if !other.trace.is_empty() {
-            if let Some(buf) = &inner.trace {
+            if let Some(buf) = &inner.borrow().trace {
                 buf.borrow_mut().extend_unbounded(&other.trace);
             }
         }
@@ -377,8 +310,6 @@ impl Telemetry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.borrow().clone()))
                 .collect(),
-            spans: inner.spans.clone(),
-            events: inner.events.clone(),
             trace,
         }
     }
@@ -433,30 +364,12 @@ impl Counter {
 pub struct Gauge(Option<Rc<Cell<i64>>>);
 
 impl Gauge {
-    /// A handle that records nothing.
-    pub fn disabled() -> Self {
-        Gauge(None)
-    }
-
     /// Set the gauge.
     #[inline]
     pub fn set(&self, value: i64) {
         if let Some(cell) = &self.0 {
             cell.set(value);
         }
-    }
-
-    /// Adjust the gauge by `delta`.
-    #[inline]
-    pub fn adjust(&self, delta: i64) {
-        if let Some(cell) = &self.0 {
-            cell.set(cell.get().wrapping_add(delta));
-        }
-    }
-
-    /// Current value (0 when disabled).
-    pub fn get(&self) -> i64 {
-        self.0.as_ref().map(|c| c.get()).unwrap_or(0)
     }
 }
 
@@ -479,21 +392,6 @@ impl HistogramHandle {
     }
 }
 
-/// An open span; call [`Span::end`] with the simulated end time to record.
-#[derive(Debug)]
-pub struct Span {
-    tel: Telemetry,
-    name: String,
-    start_ns: u64,
-}
-
-impl Span {
-    /// Close the span at simulated time `end_ns`.
-    pub fn end(self, end_ns: u64) {
-        self.tel.record_span(&self.name, self.start_ns, end_ns);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -505,8 +403,6 @@ mod tests {
         tel.counter("c").incr();
         tel.set_gauge("g", 7);
         tel.observe("h", 3);
-        tel.event(1, "e", &[("k", 1u64.into())]);
-        tel.record_span("s", 0, 10);
         assert!(tel.snapshot().is_empty());
     }
 
@@ -530,42 +426,11 @@ mod tests {
     }
 
     #[test]
-    fn span_records_and_feeds_histogram() {
-        let tel = Telemetry::enabled();
-        let span = tel.span("phase", 100);
-        span.end(350);
-        let snap = tel.snapshot();
-        assert_eq!(snap.spans.len(), 1);
-        assert_eq!(snap.spans[0].duration_ns(), 250);
-        assert_eq!(snap.histogram("span.phase.ns").unwrap().sum(), 250);
-    }
-
-    #[test]
-    fn events_stream_to_active_sink() {
-        let sink = MemorySink::new();
-        let tel = Telemetry::with_sink(Box::new(sink.clone()));
-        tel.event(42, "censor.rst", &[("port", 80u64.into())]);
-        assert_eq!(
-            sink.lines(),
-            vec!["{\"t_ns\":42,\"kind\":\"censor.rst\",\"port\":80}"]
-        );
-        assert_eq!(tel.snapshot().events.len(), 1);
-    }
-
-    #[test]
-    fn noop_sink_still_retains_events() {
-        let tel = Telemetry::enabled();
-        tel.event(1, "k", &[]);
-        assert_eq!(tel.snapshot().to_jsonl(), "{\"t_ns\":1,\"kind\":\"k\"}\n");
-    }
-
-    #[test]
     fn merge_registry_folds_everything() {
         let src = Telemetry::enabled();
         src.count("c", 2);
         src.set_gauge("g", -1);
         src.observe("h", 9);
-        src.record_span("s", 0, 5);
         let snap = src.snapshot();
 
         let dst = Telemetry::enabled();
@@ -575,7 +440,6 @@ mod tests {
         assert_eq!(merged.counter("c"), 3);
         assert_eq!(merged.gauge("g"), -1);
         assert_eq!(merged.histogram("h").unwrap().count(), 1);
-        assert_eq!(merged.spans.len(), 1);
     }
 
     #[test]

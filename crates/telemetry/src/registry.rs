@@ -1,5 +1,6 @@
 //! The registry snapshot: an owned, mergeable, serializable view of every
-//! metric, span and event a [`crate::Telemetry`] handle recorded.
+//! metric and flight-recorder record a [`crate::Telemetry`] handle
+//! recorded.
 
 use std::collections::BTreeMap;
 
@@ -7,18 +8,8 @@ use crate::hist::Histogram;
 use crate::json;
 use crate::trace::TraceRecord;
 
-/// A structured event captured at a simulated-time instant.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Event {
-    /// Simulated time of the event in nanoseconds.
-    pub t_ns: u64,
-    /// Event kind, e.g. `censor.rst_injected`.
-    pub kind: String,
-    /// Ordered key/value payload.
-    pub fields: Vec<(String, FieldValue)>,
-}
-
-/// An event field value (integers and strings only — deterministic output).
+/// A flight-recorder field value (integers and strings only — deterministic
+/// output).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FieldValue {
     /// Unsigned integer.
@@ -59,33 +50,13 @@ impl From<String> for FieldValue {
     }
 }
 
-/// A completed scoped span keyed to simulated time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanRecord {
-    /// Span name, e.g. `experiment.e09_mvr`.
-    pub name: String,
-    /// Simulated start in nanoseconds.
-    pub start_ns: u64,
-    /// Simulated end in nanoseconds.
-    pub end_ns: u64,
-}
-
-impl SpanRecord {
-    /// Span duration in nanoseconds (saturating).
-    pub fn duration_ns(&self) -> u64 {
-        self.end_ns.saturating_sub(self.start_ns)
-    }
-}
-
 /// An owned snapshot of a telemetry registry.
 ///
 /// Snapshots merge deterministically: counters add, gauges take the merged
 /// snapshot's value (last write wins, in merge order), histograms add
-/// bucket-wise, spans and events append and then re-sort by
-/// (sim-time, name) so the result is independent of merge call order, and
-/// flight-recorder trace records append in merge order (the campaign
-/// engine merges per-trial registries in trial-index order, which keeps
-/// trial segments contiguous and shard-invariant).
+/// bucket-wise, and flight-recorder trace records append in merge order
+/// (the run service merges per-trial registries in trial-index order,
+/// which keeps trial segments contiguous and shard-invariant).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
     /// Monotonic counters by name.
@@ -94,10 +65,6 @@ pub struct Registry {
     pub gauges: BTreeMap<String, i64>,
     /// Log-bucketed histograms by name.
     pub histograms: BTreeMap<String, Histogram>,
-    /// Completed spans, sorted by (start time, name) after merges.
-    pub spans: Vec<SpanRecord>,
-    /// Structured events, sorted by (time, kind) after merges.
-    pub events: Vec<Event>,
     /// Flight-recorder decision records in recording/merge order.
     /// Deliberately excluded from [`Registry::to_json`] so non-trace
     /// output stays byte-identical whether or not tracing ran; render
@@ -122,12 +89,6 @@ impl Registry {
         for (name, h) in &other.histograms {
             self.histograms.entry(name.clone()).or_default().merge(h);
         }
-        self.spans.extend(other.spans.iter().cloned());
-        self.spans
-            .sort_by(|a, b| (a.start_ns, &a.name).cmp(&(b.start_ns, &b.name)));
-        self.events.extend(other.events.iter().cloned());
-        self.events
-            .sort_by(|a, b| (a.t_ns, &a.kind).cmp(&(b.t_ns, &b.kind)));
         self.trace.extend(other.trace.iter().cloned());
     }
 
@@ -136,8 +97,6 @@ impl Registry {
         self.counters.is_empty()
             && self.gauges.is_empty()
             && self.histograms.is_empty()
-            && self.spans.is_empty()
-            && self.events.is_empty()
             && self.trace.is_empty()
     }
 
@@ -233,36 +192,7 @@ impl Registry {
             }
             out.push_str("]}");
         }
-        out.push('}');
-        out.push(',');
-        json::push_key(&mut out, "spans");
-        out.push('[');
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            json::push_key(&mut out, "name");
-            json::push_str_value(&mut out, &s.name);
-            out.push(',');
-            json::push_key(&mut out, "start_ns");
-            out.push_str(&s.start_ns.to_string());
-            out.push(',');
-            json::push_key(&mut out, "end_ns");
-            out.push_str(&s.end_ns.to_string());
-            out.push('}');
-        }
-        out.push(']');
-        out.push(',');
-        json::push_key(&mut out, "events");
-        out.push('[');
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&event_json(e));
-        }
-        out.push_str("]}");
+        out.push_str("}}");
         out
     }
 
@@ -270,17 +200,6 @@ impl Registry {
     /// decision record, in recording/merge order.
     pub fn trace_jsonl(&self) -> String {
         crate::trace::to_jsonl(&self.trace)
-    }
-
-    /// The events as JSON lines, one event per line (the structured stream
-    /// a sink receives live).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for e in &self.events {
-            out.push_str(&event_json(e));
-            out.push('\n');
-        }
-        out
     }
 
     /// Human-readable text summary: one metric per line, sorted by name.
@@ -305,45 +224,11 @@ impl Registry {
                 h.quantile(99),
             ));
         }
-        for s in &self.spans {
-            out.push_str(&format!(
-                "span    {}: [{} ns .. {} ns] ({} ns)\n",
-                s.name,
-                s.start_ns,
-                s.end_ns,
-                s.duration_ns()
-            ));
-        }
-        if !self.events.is_empty() {
-            out.push_str(&format!("events  {} recorded\n", self.events.len()));
-        }
         if !self.trace.is_empty() {
             out.push_str(&format!("trace   {} records\n", self.trace.len()));
         }
         out
     }
-}
-
-/// Serialize one event as a deterministic JSON object.
-pub fn event_json(e: &Event) -> String {
-    let mut out = String::with_capacity(64);
-    out.push('{');
-    json::push_key(&mut out, "t_ns");
-    out.push_str(&e.t_ns.to_string());
-    out.push(',');
-    json::push_key(&mut out, "kind");
-    json::push_str_value(&mut out, &e.kind);
-    for (k, v) in &e.fields {
-        out.push(',');
-        json::push_key(&mut out, k);
-        match v {
-            FieldValue::U64(n) => out.push_str(&n.to_string()),
-            FieldValue::I64(n) => out.push_str(&n.to_string()),
-            FieldValue::Str(s) => json::push_str_value(&mut out, s),
-        }
-    }
-    out.push('}');
-    out
 }
 
 #[cfg(test)]
@@ -359,21 +244,11 @@ mod tests {
         h.observe(0);
         h.observe(5);
         r.histograms.insert("sizes".into(), h);
-        r.spans.push(SpanRecord {
-            name: "run".into(),
-            start_ns: 10,
-            end_ns: 30,
-        });
-        r.events.push(Event {
-            t_ns: 7,
-            kind: "rst".into(),
-            fields: vec![("flow".into(), FieldValue::Str("a\"b".into()))],
-        });
         r
     }
 
     #[test]
-    fn json_is_sorted_and_escaped() {
+    fn json_is_sorted_and_holds_only_metrics() {
         let j = sample().to_json();
         assert!(j.find("\"a.count\":1").unwrap() < j.find("\"b.count\":2").unwrap());
         assert!(j.contains("\"gauges\":{\"depth\":-3}"));
@@ -385,8 +260,7 @@ mod tests {
             j.contains("\"p50\":0,\"p90\":5,\"p99\":5,\"buckets\""),
             "{j}"
         );
-        assert!(j.contains("\"flow\":\"a\\\"b\""));
-        assert!(j.contains("\"spans\":[{\"name\":\"run\",\"start_ns\":10,\"end_ns\":30}]"));
+        assert!(j.ends_with("[4,1]]}}}"), "histograms close the object: {j}");
     }
 
     #[test]
@@ -397,44 +271,11 @@ mod tests {
         assert_eq!(a.counter("a.count"), 2, "counters add");
         assert_eq!(a.gauge("depth"), -3, "gauges overwrite");
         assert_eq!(a.histogram("sizes").unwrap().count(), 4);
-        assert_eq!(a.spans.len(), 2);
-        assert_eq!(a.events.len(), 2);
     }
 
     #[test]
     fn equal_registries_serialize_identically() {
         assert_eq!(sample().to_json(), sample().to_json());
-    }
-
-    #[test]
-    fn merge_order_of_spans_and_events_is_canonical() {
-        // Two registries with interleaved sim-times: whichever is merged
-        // first, the result sorts to the same (time, name) order.
-        let mk = |name: &str, t: u64| {
-            let mut r = Registry::new();
-            r.spans.push(SpanRecord {
-                name: name.into(),
-                start_ns: t,
-                end_ns: t + 1,
-            });
-            r.events.push(Event {
-                t_ns: t,
-                kind: name.into(),
-                fields: vec![],
-            });
-            r
-        };
-        let a = mk("alpha", 20);
-        let b = mk("beta", 10);
-        let mut ab = Registry::new();
-        ab.merge(&a);
-        ab.merge(&b);
-        let mut ba = Registry::new();
-        ba.merge(&b);
-        ba.merge(&a);
-        assert_eq!(ab.to_json(), ba.to_json(), "merge order must not matter");
-        assert_eq!(ab.spans[0].name, "beta", "sorted by (start_ns, name)");
-        assert_eq!(ab.events[0].kind, "beta", "sorted by (t_ns, kind)");
     }
 
     #[test]
@@ -457,21 +298,11 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_one_line_per_event() {
-        let r = sample();
-        let l = r.to_jsonl();
-        assert_eq!(l.lines().count(), 1);
-        assert!(l.starts_with("{\"t_ns\":7,\"kind\":\"rst\""));
-    }
-
-    #[test]
     fn render_text_lists_everything() {
         let t = sample().render_text();
         assert!(t.contains("counter a.count = 1"));
         assert!(t.contains("gauge   depth = -3"));
         assert!(t.contains("hist    sizes: count=2"));
         assert!(t.contains("p50=0 p90=5 p99=5"), "{t}");
-        assert!(t.contains("span    run:"));
-        assert!(t.contains("events  1 recorded"));
     }
 }

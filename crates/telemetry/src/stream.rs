@@ -2,26 +2,24 @@
 //!
 //! [`Registry::merge`] is order-sensitive in two places: gauges take the
 //! value of the *last* merged snapshot, and flight-recorder trace records
-//! append in merge order. The campaign engine hides that by merging
-//! per-trial registries in trial-index order after all trials finish — an
-//! end-of-run barrier a streaming run service cannot afford, because under
-//! work stealing trials complete in arbitrary order and a 1M-trial run
-//! cannot buffer 1M registries to sort them.
+//! append in merge order. Merging per-trial registries in trial-index
+//! order after all trials finish would hide that, but it is an end-of-run
+//! barrier a streaming run service cannot afford: under work stealing
+//! trials complete in arbitrary order and a 1M-trial run cannot buffer 1M
+//! registries to sort them.
 //!
 //! [`StreamMerger`] absorbs per-trial deltas in **completion order** while
 //! producing the exact registry the sequential index-order discipline
 //! would: commutative pieces (counters, histograms) fold immediately into
 //! bounded maps; order-sensitive pieces are tagged with their source
 //! index — gauges keep the highest-index writer (what "last merge wins"
-//! means under index order), spans and events sort by their canonical key
-//! with the source index as tie-break (what repeated stable re-sorting
-//! produces), and trace records flatten in source-index order at
-//! [`StreamMerger::finish`].
+//! means under index order), and trace records flatten in source-index
+//! order at [`StreamMerger::finish`].
 
 use std::collections::BTreeMap;
 
 use crate::hist::Histogram;
-use crate::registry::{Event, Registry, SpanRecord};
+use crate::registry::Registry;
 use crate::trace::TraceRecord;
 
 /// Absorbs per-source [`Registry`] deltas in any order and finishes into
@@ -35,8 +33,6 @@ pub struct StreamMerger {
     /// Gauge name → (highest source index that wrote it, its value).
     gauges: BTreeMap<String, (u64, i64)>,
     histograms: BTreeMap<String, Histogram>,
-    spans: Vec<(u64, SpanRecord)>,
-    events: Vec<(u64, Event)>,
     trace: BTreeMap<u64, Vec<TraceRecord>>,
     absorbed: usize,
 }
@@ -64,10 +60,6 @@ impl StreamMerger {
         for (name, h) in &delta.histograms {
             self.histograms.entry(name.clone()).or_default().merge(h);
         }
-        self.spans
-            .extend(delta.spans.iter().map(|s| (src, s.clone())));
-        self.events
-            .extend(delta.events.iter().map(|e| (src, e.clone())));
         if !delta.trace.is_empty() {
             self.trace
                 .entry(src)
@@ -85,10 +77,6 @@ impl StreamMerger {
     /// byte-identical (via `to_json`/`trace_jsonl`) to folding the same
     /// deltas into an empty [`Registry`] in ascending source order.
     pub fn finish(self) -> Registry {
-        let mut spans = self.spans;
-        spans.sort_by(|(sa, a), (sb, b)| (a.start_ns, &a.name, sa).cmp(&(b.start_ns, &b.name, sb)));
-        let mut events = self.events;
-        events.sort_by(|(sa, a), (sb, b)| (a.t_ns, &a.kind, sa).cmp(&(b.t_ns, &b.kind, sb)));
         Registry {
             counters: self.counters,
             gauges: self
@@ -97,8 +85,6 @@ impl StreamMerger {
                 .map(|(name, (_, v))| (name, v))
                 .collect(),
             histograms: self.histograms,
-            spans: spans.into_iter().map(|(_, s)| s).collect(),
-            events: events.into_iter().map(|(_, e)| e).collect(),
             trace: self.trace.into_values().flatten().collect(),
         }
     }
@@ -110,7 +96,7 @@ mod tests {
     use crate::registry::FieldValue;
 
     /// A per-trial delta with deliberate cross-trial collisions: same
-    /// counter names, same gauge names, colliding span/event timestamps.
+    /// counter names, same gauge names.
     fn delta(i: u64) -> Registry {
         let mut r = Registry::new();
         r.counters.insert("campaign.trials".into(), 1);
@@ -123,16 +109,6 @@ mod tests {
         h.observe(i);
         h.observe(i * 17);
         r.histograms.insert("latency".into(), h);
-        r.spans.push(SpanRecord {
-            name: "trial".into(),
-            start_ns: (i % 4) * 100, // collide start times across trials
-            end_ns: (i % 4) * 100 + i,
-        });
-        r.events.push(Event {
-            t_ns: (i % 2) * 50, // collide event times across trials
-            kind: "verdict".into(),
-            fields: vec![("trial".into(), FieldValue::U64(i))],
-        });
         r.trace.push(TraceRecord {
             t_ns: i,
             seq: i,

@@ -96,3 +96,69 @@ fn count_is_conserved_under_sharded_merge() {
         assert_eq!(bucket_total, merged.count(), "buckets must sum to count");
     });
 }
+
+/// A registry exercising every codec section and field-value shape.
+fn sample_registry() -> underradar_telemetry::Registry {
+    use underradar_telemetry::{FieldValue, Registry, TraceFlow, TraceRecord};
+    let mut reg = Registry::new();
+    reg.counters
+        .insert("censor.tap.actions.keyword_rst".into(), 3);
+    reg.gauges.insert("censor.tap.live_flows".into(), -2);
+    let mut h = Histogram::new();
+    for v in [0u64, 7, 1 << 20] {
+        h.observe(v);
+    }
+    reg.histograms.insert("ids.segment_bytes".into(), h);
+    reg.trace.push(TraceRecord {
+        t_ns: 1_000,
+        seq: 4,
+        stage: "censor",
+        kind: "rst_pair",
+        flow: Some(TraceFlow {
+            src: std::net::Ipv4Addr::new(10, 0, 1, 2),
+            src_port: 4000,
+            dst: std::net::Ipv4Addr::new(93, 184, 0, 10),
+            dst_port: 80,
+        }),
+        fields: vec![
+            ("rule", FieldValue::U64(12)),
+            ("delta", FieldValue::I64(-1)),
+            ("keyword", FieldValue::Str("falun".into())),
+        ],
+    });
+    reg
+}
+
+/// Decoding never panics: it returns `Ok` or a named [`CodecError`], and
+/// whatever it accepts renders and re-encodes exactly.
+fn assert_decode_is_total(bytes: &[u8]) {
+    use underradar_telemetry::codec::{decode_registry, encode_registry};
+    if let Ok(reg) = decode_registry(bytes) {
+        let _ = (reg.to_json(), reg.render_text(), reg.trace_jsonl());
+        let again = decode_registry(&encode_registry(&reg)).expect("re-encoding decodes");
+        assert_eq!(again, reg, "accepted registries round-trip");
+    }
+}
+
+#[test]
+fn decode_registry_is_total_on_arbitrary_bytes() {
+    testprop::cases(500, 0x1e1e_0004, |g| {
+        let bytes = g.bytes(0, 256);
+        assert_decode_is_total(&bytes);
+    });
+}
+
+#[test]
+fn decode_registry_is_total_on_every_single_byte_mutation() {
+    let valid = underradar_telemetry::codec::encode_registry(&sample_registry());
+    for pos in 0..valid.len() {
+        for value in 0..=u8::MAX {
+            if value == valid[pos] {
+                continue;
+            }
+            let mut bytes = valid.clone();
+            bytes[pos] = value;
+            assert_decode_is_total(&bytes);
+        }
+    }
+}

@@ -82,8 +82,9 @@ impl PopulationTraffic {
 
     /// Mirror a generated stream into `tel` under
     /// `workloads.population.*`: packet/byte totals, a wire-size
-    /// histogram, and a span over the generation window. Idempotent for
-    /// the counters; call once per stream (the span appends).
+    /// histogram, and the generation window's length in simulated
+    /// nanoseconds (`span.workloads.population.ns`). Idempotent for the
+    /// counters; call once per stream (the histograms accumulate).
     pub fn export_telemetry(stream: &[TimedPacket], tel: &underradar_telemetry::Telemetry) {
         if !tel.is_enabled() {
             return;
@@ -96,10 +97,9 @@ impl PopulationTraffic {
             hist.observe(t.packet.wire_len() as u64);
         }
         if let (Some(first), Some(last)) = (stream.first(), stream.last()) {
-            tel.record_span(
-                "workloads.population",
-                first.time.as_nanos(),
-                last.time.as_nanos(),
+            tel.observe(
+                "span.workloads.population.ns",
+                last.time.as_nanos().saturating_sub(first.time.as_nanos()),
             );
         }
         // Provenance: when the flight recorder is live, one workload-stage

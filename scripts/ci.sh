@@ -114,11 +114,20 @@ awk '
   }
 ' "$tmpdir/campaign_trace_1.txt"
 
-echo "==> run-service smoke (--service is implied; 1 vs 8 workers byte identity)"
-./target/release/exp_campaign --service --shards 1 > "$tmpdir/service_1.txt" 2>/dev/null
-./target/release/exp_campaign --service --shards 8 > "$tmpdir/service_8.txt" 2>/dev/null
-cmp "$tmpdir/campaign_plain.txt" "$tmpdir/service_1.txt"
-cmp "$tmpdir/service_1.txt" "$tmpdir/service_8.txt"
+echo "==> worker-count smoke (1 vs 8 workers byte identity)"
+./target/release/exp_campaign --shards 8 > "$tmpdir/campaign_8.txt" 2>/dev/null
+cmp "$tmpdir/campaign_plain.txt" "$tmpdir/campaign_8.txt"
+
+echo "==> argument smoke (an unknown flag exits 2 and names itself)"
+set +e
+./target/release/exp_campaign --shard 4 > /dev/null 2> "$tmpdir/bad_flag.err"
+bad_flag_status=$?
+set -e
+if [ "$bad_flag_status" -ne 2 ]; then
+  echo "exp_campaign --shard 4 exited $bad_flag_status, want 2" >&2
+  exit 1
+fi
+grep -q -- "'--shard'" "$tmpdir/bad_flag.err"
 
 echo "==> pipe smoke (--jsonl into a closed pipe fails stop instead of hanging)"
 # head exits after one row; the sink's next write fails with EPIPE and
@@ -146,8 +155,8 @@ echo "==> safety-audit smoke (--audit: double run, 1-vs-4 and 1-vs-8-shard ident
 cmp "$tmpdir/audit_a.txt" "$tmpdir/audit_b.txt"
 ./target/release/exp_campaign --audit --shards 4 > "$tmpdir/audit_4.txt" 2>/dev/null
 cmp "$tmpdir/audit_a.txt" "$tmpdir/audit_4.txt"
-./target/release/exp_campaign --audit --service --shards 8 > "$tmpdir/audit_svc.txt" 2>/dev/null
-cmp "$tmpdir/audit_a.txt" "$tmpdir/audit_svc.txt"
+./target/release/exp_campaign --audit --shards 8 > "$tmpdir/audit_8.txt" 2>/dev/null
+cmp "$tmpdir/audit_a.txt" "$tmpdir/audit_8.txt"
 grep -q '^divergence: ' "$tmpdir/audit_a.txt"
 # Auditing is additive: the plain report's exact bytes lead the output.
 head -c "$plain_bytes" "$tmpdir/audit_a.txt" | cmp - "$tmpdir/campaign_plain.txt"
@@ -157,14 +166,14 @@ echo "==> crash-resume smoke (SIGKILL mid-run, resume from journal, byte identit
 # CI hardware); the resumed run must both restore journaled trials and
 # execute the remainder, and its stdout must match the uninterrupted run.
 n=30000
-./target/release/exp_campaign --service --synthetic "$n" --shards 4 > "$tmpdir/service_clean.txt" 2>/dev/null
-./target/release/exp_campaign --service --synthetic "$n" --shards 4 \
+./target/release/exp_campaign --synthetic "$n" --shards 4 > "$tmpdir/service_clean.txt" 2>/dev/null
+./target/release/exp_campaign --synthetic "$n" --shards 4 \
   --checkpoint "$tmpdir/ckpt.journal" > /dev/null 2>&1 &
 victim=$!
 sleep 1.5
 kill -9 "$victim" 2>/dev/null || true
 wait "$victim" 2>/dev/null || true
-./target/release/exp_campaign --service --synthetic "$n" --shards 4 \
+./target/release/exp_campaign --synthetic "$n" --shards 4 \
   --checkpoint "$tmpdir/ckpt.journal" > "$tmpdir/service_resumed.txt" 2> "$tmpdir/service_resumed.err"
 cmp "$tmpdir/service_clean.txt" "$tmpdir/service_resumed.txt"
 grep -E 'service: [0-9]+ executed, [0-9]+ restored' "$tmpdir/service_resumed.err"
@@ -176,7 +185,7 @@ fi
 echo "==> progress smoke (--progress: snapshots stream on stderr, stdout untouched)"
 # Interval snapshots go to stderr only; stdout must be byte-identical to
 # the silent run of the same matrix (service_clean.txt from above).
-./target/release/exp_campaign --service --synthetic "$n" --shards 4 --progress=5000 \
+./target/release/exp_campaign --synthetic "$n" --shards 4 --progress=5000 \
   > "$tmpdir/progress_on.txt" 2> "$tmpdir/progress_on.err"
 cmp "$tmpdir/service_clean.txt" "$tmpdir/progress_on.txt"
 grep -q '"rows_per_sec"' "$tmpdir/progress_on.err"
