@@ -1,29 +1,55 @@
-//! Shared command-line front end for the `exp_*` binaries.
+//! The `underradar` front end: one strict flag grammar for
+//! `underradar experiments` and `underradar campaign`, and the output
+//! modes both print in.
 //!
-//! Every experiment binary is `exp_main(name, run)`. Modes:
+//! ```text
+//! underradar experiments [e1..e14|a1|all] [MODE] [--trace-capacity N]
+//! underradar campaign [MODE] [--trace-capacity N] [campaign flags]
+//! ```
 //!
-//! * default — print the plain-text report, exactly as before;
+//! At most one mode flag chooses what a run prints:
+//!
+//! * none — the plain-text report;
 //! * `--json` — run with telemetry enabled and print one JSON object
 //!   `{"experiment": .., "report": .., "telemetry": <registry>}` suitable
 //!   for piping into analysis tooling;
-//! * `--jsonl` — stream one JSON object per row: generic experiments emit
-//!   a row per report line plus a trailing telemetry row; campaign-backed
-//!   binaries emit true per-trial verdict rows;
-//! * `--telemetry` (or `UNDERRADAR_TELEMETRY=1`) — print the report
-//!   followed by the registry's text rendering;
-//! * `--trace` (or `UNDERRADAR_TRACE=1`) — run with the flight recorder
-//!   live and print the report, then the trace as JSON lines, then the
-//!   explainer's causal chains. The report section is byte-identical to
-//!   the default mode's output;
-//! * `--trace-capacity N` (or `UNDERRADAR_TRACE_CAPACITY=N`) — size the
-//!   flight-recorder ring for traced runs (default 4096 records). The
-//!   knob only tunes the ring: it never turns tracing on by itself.
+//! * `--jsonl` — stream one JSON object per row: an experiment emits a
+//!   row per report line plus a trailing telemetry row; the campaign
+//!   emits one verdict row per trial the moment it completes;
+//! * `--telemetry` — print the report followed by the registry's text
+//!   rendering;
+//! * `--trace` — run with the flight recorder live and print the report,
+//!   then the trace as JSON lines, then the explainer's causal chains.
+//!   The report section is byte-identical to the plain output;
+//! * campaign only: `--audit[=json]` and `--trace-diff A B` (see
+//!   [`campaign`]).
+//!
+//! `--trace-capacity N` sizes the flight-recorder ring of traced runs
+//! (default 4096 records); it never turns tracing on by itself. An
+//! unknown flag, a second mode flag, a missing value or a malformed
+//! number is a usage error that names the input (exit status 2).
+//! `experiments all` prints every plain report and takes no flags.
 
-use underradar_telemetry::{
-    json, trace, Telemetry, DEFAULT_TRACE_CAPACITY, TELEMETRY_ENV, TRACE_CAPACITY_ENV, TRACE_ENV,
-};
+pub mod campaign;
 
-/// How the binary was asked to present its output.
+use std::io::Write;
+use std::path::PathBuf;
+
+use underradar_runner::ProgressConfig;
+use underradar_telemetry::{json, trace, Registry, Telemetry, DEFAULT_TRACE_CAPACITY};
+
+use crate::experiments;
+
+/// Why a subcommand stopped before finishing its output.
+#[derive(Debug)]
+pub enum Failure {
+    /// The command line is wrong (exit status 2).
+    Usage(String),
+    /// The run failed (exit status 1).
+    Run(String),
+}
+
+/// How a run presents its report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutputMode {
     /// Plain-text report only.
@@ -32,163 +58,29 @@ pub enum OutputMode {
     TextWithTelemetry,
     /// One JSON object carrying the report and the registry.
     Json,
-    /// One JSON object per row, streamed as rows complete. Campaign-backed
-    /// binaries emit true per-trial rows (`exp_campaign --jsonl`
-    /// streams them the moment each trial finishes); generic experiments
-    /// emit one row per report line plus a trailing telemetry row.
+    /// One JSON object per row.
     Jsonl,
     /// Report plus the flight-recorder trace (JSON lines) and the
     /// explainer's per-trial causal chains.
     Trace,
 }
 
-/// Typed accumulation of the output flags. Each `--json` / `--jsonl` /
-/// `--telemetry` / `--trace` occurrence (or its env-var equivalent) sets
-/// an independent bit; [`OutputSpec::mode`] resolves any combination with
-/// one precedence order — trace ≻ jsonl ≻ json ≻ telemetry ≻ text — so
-/// flag order never matters and every combination is defined. A trace
-/// subsumes the registry, and the JSON envelopes deliberately exclude
-/// trace records, which is why trace outranks everything.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OutputSpec {
-    json: bool,
-    jsonl: bool,
-    telemetry: bool,
-    trace: bool,
-    trace_capacity: Option<usize>,
-}
-
-impl OutputSpec {
-    /// A spec with no flags set (plain-text report).
-    pub fn new() -> OutputSpec {
-        OutputSpec::default()
-    }
-
-    /// Request the `--json` envelope.
-    pub fn json(mut self, on: bool) -> OutputSpec {
-        self.json = on;
-        self
-    }
-
-    /// Request the `--jsonl` row stream.
-    pub fn jsonl(mut self, on: bool) -> OutputSpec {
-        self.jsonl = on;
-        self
-    }
-
-    /// Request the `--telemetry` text appendix.
-    pub fn telemetry(mut self, on: bool) -> OutputSpec {
-        self.telemetry = on;
-        self
-    }
-
-    /// Request the `--trace` flight-recorder dump.
-    pub fn trace(mut self, on: bool) -> OutputSpec {
-        self.trace = on;
-        self
-    }
-
-    /// Override the flight-recorder ring capacity (tunes `--trace` runs;
-    /// never turns tracing on by itself).
-    pub fn trace_capacity(mut self, capacity: Option<usize>) -> OutputSpec {
-        self.trace_capacity = capacity;
-        self
-    }
-
-    /// The configured ring capacity override, if any.
-    pub fn trace_capacity_value(self) -> Option<usize> {
-        self.trace_capacity
-    }
-
-    /// Parse a spec from CLI arguments plus the ambient telemetry/trace
-    /// env vars.
-    pub fn from_cli<I: IntoIterator<Item = String>>(args: I) -> OutputSpec {
-        Self::from_parts(
-            std::env::var(TELEMETRY_ENV).ok(),
-            std::env::var(TRACE_ENV).ok(),
-            std::env::var(TRACE_CAPACITY_ENV).ok(),
-            args,
-        )
-    }
-
-    /// [`OutputSpec::from_cli`] with the env vars' values passed
-    /// explicitly (testable regardless of the ambient environment).
-    pub fn from_parts<I: IntoIterator<Item = String>>(
-        tel_env: Option<String>,
-        trace_env: Option<String>,
-        capacity_env: Option<String>,
-        args: I,
-    ) -> OutputSpec {
-        let mut spec = OutputSpec::new()
-            .telemetry(env_set(tel_env))
-            .trace(env_set(trace_env))
-            .trace_capacity(trace::capacity_from_env(capacity_env));
-        let args: Vec<String> = args.into_iter().collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--json" => spec.json = true,
-                "--jsonl" => spec.jsonl = true,
-                "--telemetry" => spec.telemetry = true,
-                "--trace" => spec.trace = true,
-                "--trace-capacity" => {
-                    if let Some(v) = args.get(i + 1) {
-                        if let Some(c) = trace::capacity_from_env(Some(v.clone())) {
-                            spec.trace_capacity = Some(c);
-                            i += 1;
-                        }
-                    }
-                }
-                other => {
-                    if let Some(v) = other.strip_prefix("--trace-capacity=") {
-                        if let Some(c) = trace::capacity_from_env(Some(v.to_string())) {
-                            spec.trace_capacity = Some(c);
-                        }
-                    }
-                }
-            }
-            i += 1;
-        }
-        spec
-    }
-
-    /// Resolve the accumulated flags into one output mode.
-    pub fn mode(self) -> OutputMode {
-        if self.trace {
-            OutputMode::Trace
-        } else if self.jsonl {
-            OutputMode::Jsonl
-        } else if self.json {
-            OutputMode::Json
-        } else if self.telemetry {
-            OutputMode::TextWithTelemetry
-        } else {
-            OutputMode::Text
-        }
-    }
-
-    /// The telemetry handle an experiment should run under: disabled for
-    /// plain text, trace-carrying for `--trace`, enabled otherwise.
-    pub fn telemetry_handle(self) -> Telemetry {
-        match self.mode() {
+impl OutputMode {
+    /// The telemetry handle an experiment runs under: disabled for plain
+    /// text, a `trace_capacity`-record flight recorder for `--trace`,
+    /// enabled otherwise.
+    pub fn telemetry_handle(self, trace_capacity: usize) -> Telemetry {
+        match self {
             OutputMode::Text => Telemetry::disabled(),
-            OutputMode::Trace => {
-                Telemetry::with_trace(self.trace_capacity.unwrap_or(DEFAULT_TRACE_CAPACITY))
-            }
+            OutputMode::Trace => Telemetry::with_trace(trace_capacity),
             _ => Telemetry::enabled(),
         }
     }
 
-    /// Render the complete stdout for this spec — the single place the
-    /// mode-to-bytes mapping lives. Byte-identical to what each mode has
-    /// always printed (pinned by the CLI golden test).
-    pub fn render(
-        self,
-        name: &str,
-        report: &str,
-        registry: &underradar_telemetry::Registry,
-    ) -> String {
-        match self.mode() {
+    /// Render the complete stdout for this mode — the single place the
+    /// mode-to-bytes mapping lives (pinned by the CLI golden test).
+    pub fn render(self, name: &str, report: &str, registry: &Registry) -> String {
+        match self {
             OutputMode::Text => report.to_string(),
             OutputMode::TextWithTelemetry => {
                 format!("{report}--- telemetry ---\n{}", registry.render_text())
@@ -204,26 +96,195 @@ impl OutputSpec {
     }
 }
 
-/// Decide the output mode from flags plus the telemetry/trace env vars.
-pub fn output_mode<I: IntoIterator<Item = String>>(args: I) -> OutputMode {
-    OutputSpec::from_cli(args).mode()
+/// What a run prints: an [`OutputMode`], or one of the campaign's own
+/// reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// A report in one of the shared output modes.
+    Output(OutputMode),
+    /// `--audit` (text) or `--audit=json`: the report, then the safety
+    /// audit.
+    Audit {
+        /// Render the audit as sorted-key JSON.
+        json: bool,
+    },
+    /// `--trace-diff A B`: the first divergent stage decision between two
+    /// trials' traces.
+    TraceDiff(u64, u64),
 }
 
-fn env_set(v: Option<String>) -> bool {
-    v.is_some_and(|v| !v.is_empty() && v != "0")
+/// Which subcommand's flags [`parse`] accepts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Command {
+    /// `underradar experiments NAME`: the output modes and
+    /// `--trace-capacity`.
+    Experiments,
+    /// `underradar campaign`: everything.
+    Campaign,
 }
 
-#[cfg(test)]
-fn mode_from<I: IntoIterator<Item = String>>(
-    tel_env: Option<String>,
-    trace_env: Option<String>,
-    args: I,
-) -> OutputMode {
-    OutputSpec::from_parts(tel_env, trace_env, None, args).mode()
+/// A parsed command line. The campaign-only fields keep their defaults
+/// for [`Command::Experiments`].
+#[derive(Debug)]
+pub struct Args {
+    /// The one mode chosen (plain text when no mode flag is given).
+    pub mode: Mode,
+    /// Flight-recorder ring capacity for traced runs.
+    pub trace_capacity: usize,
+    /// Worker threads.
+    pub shards: usize,
+    /// Adversarial client-link impairments.
+    pub impair: bool,
+    /// Wall-clock stage profile on stderr.
+    pub profile: bool,
+    /// Where to write the stage timings and run profile as JSON.
+    pub profile_json: Option<PathBuf>,
+    /// Progress snapshots on stderr.
+    pub progress: Option<ProgressConfig>,
+    /// Checkpoint journal path.
+    pub checkpoint: Option<PathBuf>,
+    /// Replace the paper matrix with an `N`-trial synthetic one.
+    pub synthetic: Option<usize>,
+}
+
+impl Default for Args {
+    fn default() -> Args {
+        Args {
+            mode: Mode::Output(OutputMode::Text),
+            trace_capacity: DEFAULT_TRACE_CAPACITY,
+            shards: 1,
+            impair: false,
+            profile: false,
+            profile_json: None,
+            progress: None,
+            checkpoint: None,
+            synthetic: None,
+        }
+    }
+}
+
+fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{flag}: '{v}' is not a non-negative integer"))
+}
+
+/// Parse `args` under `cmd`'s grammar. A value follows its flag either
+/// inline (`--flag=value`) or as the next argument; a later occurrence
+/// of a value flag overrides an earlier one. An unknown flag, a second
+/// mode flag, a missing value or a malformed number is an error that
+/// names the input.
+pub fn parse(args: &[String], cmd: Command) -> Result<Args, String> {
+    let campaign = cmd == Command::Campaign;
+    let mut parsed = Args::default();
+    let mut mode_flag: Option<&str> = None;
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, v)) if flag.starts_with("--") => (flag, Some(v)),
+            _ => (arg.as_str(), None),
+        };
+        // The flag's value: inline (`--flag=value`) or the next argument.
+        let mut value = || {
+            inline
+                .map(str::to_string)
+                .or_else(|| rest.next().cloned())
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        let mode = match (flag, inline) {
+            ("--json", None) => Mode::Output(OutputMode::Json),
+            ("--jsonl", None) => Mode::Output(OutputMode::Jsonl),
+            ("--telemetry", None) => Mode::Output(OutputMode::TextWithTelemetry),
+            ("--trace", None) => Mode::Output(OutputMode::Trace),
+            ("--audit", None) if campaign => Mode::Audit { json: false },
+            ("--audit", Some("json")) if campaign => Mode::Audit { json: true },
+            ("--trace-diff", None) if campaign => {
+                Mode::TraceDiff(number(flag, &value()?)?, number(flag, &value()?)?)
+            }
+            _ => {
+                match (flag, inline) {
+                    ("--trace-capacity", _) => {
+                        let v = value()?;
+                        parsed.trace_capacity = trace::parse_capacity(&v)
+                            .ok_or_else(|| format!("{flag}: '{v}' is not a positive integer"))?;
+                    }
+                    ("--shards", _) if campaign => parsed.shards = number(flag, &value()?)?,
+                    ("--synthetic", _) if campaign => {
+                        parsed.synthetic = Some(number(flag, &value()?)?);
+                    }
+                    ("--checkpoint", _) if campaign => {
+                        parsed.checkpoint = Some(PathBuf::from(value()?));
+                    }
+                    ("--profile-json", _) if campaign => {
+                        parsed.profile_json = Some(PathBuf::from(value()?));
+                    }
+                    ("--progress", None) if campaign => {
+                        parsed.progress = Some(ProgressConfig::default());
+                    }
+                    ("--progress", Some(v)) if campaign => {
+                        parsed.progress = Some(ProgressConfig {
+                            every_trials: number(flag, v)?,
+                            ..ProgressConfig::default()
+                        });
+                    }
+                    ("--impair", None) if campaign => parsed.impair = true,
+                    ("--profile", None) if campaign => parsed.profile = true,
+                    _ if arg.starts_with('-') => return Err(format!("unknown flag '{arg}'")),
+                    _ => return Err(format!("unexpected argument '{arg}'")),
+                }
+                continue;
+            }
+        };
+        if let Some(first) = mode_flag.replace(arg) {
+            return Err(format!(
+                "'{first}' and '{arg}' both choose the output mode; give one"
+            ));
+        }
+        parsed.mode = mode;
+    }
+    Ok(parsed)
+}
+
+/// Write `out` to stdout. A failed write (say, a closed pipe) is a run
+/// failure that names stdout, not a panic.
+pub fn write_stdout(out: &str) -> Result<(), Failure> {
+    let mut stdout = std::io::stdout().lock();
+    stdout
+        .write_all(out.as_bytes())
+        .and_then(|()| stdout.flush())
+        .map_err(|e| Failure::Run(format!("stdout: {e}")))
+}
+
+/// `underradar experiments [NAME] [MODE] [--trace-capacity N]`: run the
+/// experiment [`experiments::find`] names and print it in the chosen
+/// mode, or print every plain report for `all` (the default), which
+/// takes no flags.
+pub fn experiments(args: &[String]) -> Result<(), Failure> {
+    let (which, flags) = match args.split_first() {
+        Some((name, flags)) if !name.starts_with('-') => (name.as_str(), flags),
+        _ => ("all", args),
+    };
+    if which.eq_ignore_ascii_case("all") {
+        if let Some(flag) = flags.first() {
+            return Err(Failure::Usage(format!(
+                "experiments all prints the plain reports and takes no flags, got '{flag}'"
+            )));
+        }
+        return write_stdout(&experiments::run_all());
+    }
+    let (name, run) = experiments::find(which).ok_or_else(|| {
+        Failure::Usage(format!("unknown experiment '{which}' (e1..e14, a1 or all)"))
+    })?;
+    let args = parse(flags, Command::Experiments).map_err(Failure::Usage)?;
+    let Mode::Output(mode) = args.mode else {
+        unreachable!("the experiments grammar has only output modes");
+    };
+    let tel = mode.telemetry_handle(args.trace_capacity);
+    let report = run(&tel);
+    write_stdout(&mode.render(name, &report, &tel.snapshot()))
 }
 
 /// Render the `--json` envelope for one experiment.
-pub fn render_json(name: &str, report: &str, registry: &underradar_telemetry::Registry) -> String {
+fn render_json(name: &str, report: &str, registry: &Registry) -> String {
     let mut out = String::from("{");
     json::push_key(&mut out, "experiment");
     json::push_str_value(&mut out, name);
@@ -237,11 +298,10 @@ pub fn render_json(name: &str, report: &str, registry: &underradar_telemetry::Re
     out
 }
 
-/// Render the `--jsonl` stream for a generic experiment: one JSON object
-/// per report line (self-describing, pipeline-friendly) followed by one
-/// telemetry object. Campaign-backed binaries emit true per-trial rows
-/// instead (see `exp_campaign`).
-pub fn render_jsonl(name: &str, report: &str, registry: &underradar_telemetry::Registry) -> String {
+/// Render the `--jsonl` stream for an experiment: one JSON object per
+/// report line (self-describing, pipeline-friendly) followed by one
+/// telemetry object. The campaign streams true per-trial rows instead.
+fn render_jsonl(name: &str, report: &str, registry: &Registry) -> String {
     let mut out = String::new();
     for (i, line) in report.lines().enumerate() {
         out.push('{');
@@ -265,17 +325,9 @@ pub fn render_jsonl(name: &str, report: &str, registry: &underradar_telemetry::R
     out
 }
 
-/// The whole body of an `exp_*` binary.
-pub fn exp_main(name: &str, run: fn(&Telemetry) -> String) {
-    let spec = OutputSpec::from_cli(std::env::args().skip(1));
-    let tel = spec.telemetry_handle();
-    let report = run(&tel);
-    print!("{}", spec.render(name, &report, &tel.snapshot()));
-}
-
 /// Render the `--trace` output: the unchanged report, the trace as JSON
 /// lines, then the explainer's causal chains.
-pub fn render_trace(report: &str, registry: &underradar_telemetry::Registry) -> String {
+fn render_trace(report: &str, registry: &Registry) -> String {
     let mut out = String::from(report);
     out.push_str("--- trace ---\n");
     out.push_str(&registry.trace_jsonl());
@@ -288,84 +340,181 @@ pub fn render_trace(report: &str, registry: &underradar_telemetry::Registry) -> 
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
+    fn parse_as(cmd: Command, args: &[&str]) -> Result<Args, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse(&args, cmd)
+    }
+
+    fn mode_of(args: &[&str]) -> Mode {
+        parse_as(Command::Experiments, args).expect("valid").mode
     }
 
     #[test]
-    fn json_flag_wins() {
-        assert_eq!(mode_from(None, None, args(&[])), OutputMode::Text);
-        assert_eq!(mode_from(None, None, args(&["--json"])), OutputMode::Json);
+    fn each_mode_flag_chooses_its_mode() {
+        assert_eq!(mode_of(&[]), Mode::Output(OutputMode::Text));
+        assert_eq!(mode_of(&["--json"]), Mode::Output(OutputMode::Json));
+        assert_eq!(mode_of(&["--jsonl"]), Mode::Output(OutputMode::Jsonl));
         assert_eq!(
-            mode_from(None, None, args(&["--telemetry"])),
-            OutputMode::TextWithTelemetry
+            mode_of(&["--telemetry"]),
+            Mode::Output(OutputMode::TextWithTelemetry)
         );
+        assert_eq!(mode_of(&["--trace"]), Mode::Output(OutputMode::Trace));
+    }
+
+    #[test]
+    fn a_second_mode_flag_is_an_error_naming_both() {
+        for cmd in [Command::Experiments, Command::Campaign] {
+            for (args, named) in [
+                (&["--json", "--trace"][..], "'--json' and '--trace'"),
+                (&["--trace", "--json"][..], "'--trace' and '--json'"),
+                (&["--jsonl", "--json"][..], "'--jsonl' and '--json'"),
+                (
+                    &["--telemetry", "--jsonl"][..],
+                    "'--telemetry' and '--jsonl'",
+                ),
+                (&["--json", "--json"][..], "'--json' and '--json'"),
+            ] {
+                let err = parse_as(cmd, args).expect_err("two modes");
+                assert!(err.starts_with(named), "{args:?}: {err}");
+            }
+        }
+        for (args, named) in [
+            (&["--audit", "--json"][..], "'--audit' and '--json'"),
+            (
+                &["--trace", "--audit=json"][..],
+                "'--trace' and '--audit=json'",
+            ),
+            (
+                &["--trace-diff", "1", "2", "--audit"][..],
+                "'--trace-diff' and '--audit'",
+            ),
+        ] {
+            let err = parse_as(Command::Campaign, args).expect_err("two modes");
+            assert!(err.starts_with(named), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn trace_capacity_sizes_the_ring_without_choosing_a_mode() {
+        let a = parse_as(
+            Command::Experiments,
+            &["--trace", "--trace-capacity", "128"],
+        )
+        .expect("valid");
         assert_eq!(
-            mode_from(None, None, args(&["--telemetry", "--json"])),
-            OutputMode::Json
+            (a.mode, a.trace_capacity),
+            (Mode::Output(OutputMode::Trace), 128)
+        );
+        let b = parse_as(Command::Experiments, &["--trace-capacity=64"]).expect("valid");
+        assert_eq!(
+            (b.mode, b.trace_capacity),
+            (Mode::Output(OutputMode::Text), 64)
+        );
+        let c = parse_as(Command::Experiments, &["--json"]).expect("valid");
+        assert_eq!(c.trace_capacity, DEFAULT_TRACE_CAPACITY);
+        let handle = OutputMode::Trace.telemetry_handle(b.trace_capacity);
+        assert_eq!(handle.trace_capacity(), Some(64));
+        assert!(!OutputMode::Text.telemetry_handle(64).is_enabled());
+        assert_eq!(OutputMode::Json.telemetry_handle(64).trace_capacity(), None);
+    }
+
+    #[test]
+    fn campaign_flags_parse_in_both_value_forms() {
+        let a = parse_as(
+            Command::Campaign,
+            &[
+                "--shards",
+                "4",
+                "--synthetic=200",
+                "--checkpoint",
+                "j.ckpt",
+                "--impair",
+                "--progress=50",
+                "--audit=json",
+                "--trace-capacity=8",
+                "--profile-json",
+                "p.json",
+            ],
+        )
+        .expect("valid");
+        assert_eq!((a.shards, a.synthetic), (4, Some(200)));
+        assert_eq!(a.mode, Mode::Audit { json: true });
+        assert_eq!(a.checkpoint, Some(PathBuf::from("j.ckpt")));
+        assert!(a.impair && !a.profile);
+        assert_eq!(a.progress.map(|p| p.every_trials), Some(50));
+        assert_eq!(a.trace_capacity, 8);
+        assert_eq!(a.profile_json, Some(PathBuf::from("p.json")));
+        let b = parse_as(
+            Command::Campaign,
+            &["--shards=2", "--shards", "3", "--trace-diff", "3", "7"],
+        )
+        .expect("valid");
+        assert_eq!(b.shards, 3, "the last --shards wins");
+        assert_eq!(b.mode, Mode::TraceDiff(3, 7));
+        assert_eq!(
+            format!("{:?}", parse_as(Command::Campaign, &[]).expect("valid")),
+            format!("{:?}", Args::default())
         );
     }
 
     #[test]
-    fn jsonl_flag_outranks_json_but_not_trace() {
-        assert_eq!(mode_from(None, None, args(&["--jsonl"])), OutputMode::Jsonl);
-        assert_eq!(
-            mode_from(None, None, args(&["--json", "--jsonl"])),
-            OutputMode::Jsonl
-        );
-        assert_eq!(
-            mode_from(None, None, args(&["--jsonl", "--json"])),
-            OutputMode::Jsonl
-        );
-        assert_eq!(
-            mode_from(None, None, args(&["--jsonl", "--trace"])),
-            OutputMode::Trace
-        );
-        assert_eq!(
-            mode_from(None, None, args(&["--trace", "--jsonl"])),
-            OutputMode::Trace
-        );
+    fn bad_arguments_are_errors_that_name_the_input() {
+        for (args, named) in [
+            (&["--shard", "4"][..], "unknown flag '--shard'"),
+            (
+                &["--synthetic", "200", "--bogus"][..],
+                "unknown flag '--bogus'",
+            ),
+            (&["--service"][..], "unknown flag '--service'"),
+            (&["--json=1"][..], "unknown flag '--json=1'"),
+            (&["--audit=text"][..], "unknown flag '--audit=text'"),
+            (&["--progress", "5"][..], "unexpected argument '5'"),
+            (&["--shards", "x"][..], "--shards: 'x'"),
+            (&["--shards"][..], "--shards needs a value"),
+            (&["--synthetic", "-3"][..], "--synthetic: '-3'"),
+            (&["--progress=soon"][..], "--progress: 'soon'"),
+            (&["--trace-capacity", "0"][..], "--trace-capacity: '0'"),
+            (&["--trace-capacity=many"][..], "--trace-capacity: 'many'"),
+            (&["--trace-diff", "1"][..], "--trace-diff needs a value"),
+            (&["--checkpoint"][..], "--checkpoint needs a value"),
+        ] {
+            let err = parse_as(Command::Campaign, args).expect_err("rejected");
+            assert!(err.starts_with(named), "{args:?}: {err}");
+        }
+        for (args, named) in [
+            (&["--jsno"][..], "unknown flag '--jsno'"),
+            (&["--trace-capacity", "abc"][..], "--trace-capacity: 'abc'"),
+            (&["--trace-capacity"][..], "--trace-capacity needs a value"),
+            (&["--shards", "4"][..], "unknown flag '--shards'"),
+            (&["--audit"][..], "unknown flag '--audit'"),
+            (
+                &["--trace-diff", "0", "1"][..],
+                "unknown flag '--trace-diff'",
+            ),
+            (&["e2"][..], "unexpected argument 'e2'"),
+        ] {
+            let err = parse_as(Command::Experiments, args).expect_err("rejected");
+            assert!(err.starts_with(named), "{args:?}: {err}");
+        }
     }
 
     #[test]
-    fn trace_capacity_flag_and_env_tune_the_ring() {
-        let spec = OutputSpec::from_parts(
-            None,
-            None,
-            None,
-            args(&["--trace", "--trace-capacity", "128"]),
-        );
-        assert_eq!(spec.trace_capacity_value(), Some(128));
-        assert_eq!(spec.mode(), OutputMode::Trace);
-        let eq =
-            OutputSpec::from_parts(None, None, None, args(&["--trace", "--trace-capacity=64"]));
-        assert_eq!(eq.trace_capacity_value(), Some(64));
-        // Capacity alone never turns tracing on.
-        let plain = OutputSpec::from_parts(None, None, None, args(&["--trace-capacity", "64"]));
-        assert_eq!(plain.mode(), OutputMode::Text);
-        assert_eq!(plain.trace_capacity_value(), Some(64));
-        // The env var seeds the capacity; an explicit flag overrides it.
-        let env = OutputSpec::from_parts(
-            None,
-            Some("1".to_string()),
-            Some("32".to_string()),
-            args(&[]),
-        );
-        assert_eq!(env.trace_capacity_value(), Some(32));
-        assert_eq!(env.mode(), OutputMode::Trace);
-        let both = OutputSpec::from_parts(
-            None,
-            None,
-            Some("32".to_string()),
-            args(&["--trace-capacity", "16"]),
-        );
-        assert_eq!(both.trace_capacity_value(), Some(16));
-        // Invalid or missing values are ignored (and don't eat flags).
-        let bad = OutputSpec::from_parts(None, None, None, args(&["--trace-capacity", "abc"]));
-        assert_eq!(bad.trace_capacity_value(), None);
-        let tail = OutputSpec::from_parts(None, None, None, args(&["--trace-capacity", "--json"]));
-        assert_eq!(tail.trace_capacity_value(), None);
-        assert_eq!(tail.mode(), OutputMode::Json);
+    fn experiments_reject_bad_names_and_flags_on_all() {
+        let run = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            experiments(&args)
+        };
+        for (args, named) in [
+            (&["all", "--json"][..], "'--json'"),
+            (&["--trace"][..], "'--trace'"),
+            (&["e99"][..], "unknown experiment 'e99'"),
+            (&["e2", "--jsno"][..], "unknown flag '--jsno'"),
+        ] {
+            match run(args) {
+                Err(Failure::Usage(msg)) => assert!(msg.contains(named), "{args:?}: {msg}"),
+                other => panic!("{args:?}: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -385,39 +534,6 @@ mod tests {
         );
         assert!(lines[2].starts_with("{\"experiment\":\"e00\",\"telemetry\":{"));
         assert!(lines[2].contains("\"counters\":{\"x\":2}"));
-    }
-
-    #[test]
-    fn env_var_enables_telemetry_output() {
-        let on = |v: &str| mode_from(Some(v.to_string()), None, args(&[]));
-        assert_eq!(on("1"), OutputMode::TextWithTelemetry);
-        assert_eq!(on("0"), OutputMode::Text);
-        assert_eq!(on(""), OutputMode::Text);
-        assert_eq!(
-            mode_from(Some("1".to_string()), None, args(&["--json"])),
-            OutputMode::Json
-        );
-    }
-
-    #[test]
-    fn trace_flag_and_env_outrank_other_modes() {
-        assert_eq!(mode_from(None, None, args(&["--trace"])), OutputMode::Trace);
-        assert_eq!(
-            mode_from(None, None, args(&["--trace", "--json"])),
-            OutputMode::Trace
-        );
-        assert_eq!(
-            mode_from(None, None, args(&["--json", "--trace"])),
-            OutputMode::Trace
-        );
-        assert_eq!(
-            mode_from(None, Some("1".to_string()), args(&[])),
-            OutputMode::Trace
-        );
-        assert_eq!(
-            mode_from(None, Some("0".to_string()), args(&[])),
-            OutputMode::Text
-        );
     }
 
     #[test]

@@ -18,8 +18,7 @@
 //!    population contributes bulk, not noise.
 //!
 //! Wall-clock packets/sec goes to stderr so stdout stays deterministic.
-//! `UNDERRADAR_E14_FLOWS` shrinks the run for smoke tests (CI uses a
-//! reduced flow count; the default exercises the 100k+ target).
+//! [`run_sized`] takes an explicit flow count for smaller runs.
 
 use std::net::Ipv4Addr;
 
@@ -225,13 +224,9 @@ pub fn run() -> String {
     run_with(&underradar_telemetry::Telemetry::disabled())
 }
 
-/// Run E14 at the default (or `UNDERRADAR_E14_FLOWS`-reduced) scale.
+/// Run E14 at the default scale.
 pub fn run_with(tel: &underradar_telemetry::Telemetry) -> String {
-    let flows = std::env::var("UNDERRADAR_E14_FLOWS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_FLOWS);
-    run_sized(tel, flows)
+    run_sized(tel, DEFAULT_FLOWS)
 }
 
 /// Run E14 with an explicit concurrent-flow target.

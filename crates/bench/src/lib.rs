@@ -10,10 +10,13 @@
 //! substrate (`benches/perf.rs`; no external bench framework).
 //!
 //! Each experiment is a pure function `run() -> String` (deterministic in
-//! its internal seeds) with a thin binary wrapper in `src/bin/` and a
-//! consolidated `cargo bench` harness (`benches/experiments.rs`) that
-//! prints all of them. [`experiments::run_all`] fans the experiments
-//! across threads with the campaign scheduler
+//! its internal seeds), listed in [`experiments::ALL`]. The [`cli`]
+//! module is the front end the `underradar` binary dispatches to:
+//! `underradar experiments <name>` runs one of them in any output mode,
+//! and `underradar campaign` runs the paper-scale campaign through the
+//! run service. A consolidated `cargo bench` harness
+//! (`benches/experiments.rs`) prints all of them. [`experiments::run_all`]
+//! fans the experiments across threads with the campaign scheduler
 //! (`underradar_campaign::steal::run_chunked`); determinism is preserved
 //! because each experiment seeds its own RNGs. The experiment ↔ paper
 //! mapping lives in `DESIGN.md` §4 and `EXPERIMENTS.md`.

@@ -1,9 +1,9 @@
 //! CLI golden test: the exact stdout bytes every output mode produces,
-//! rendered through [`OutputSpec`] from one fixed report and registry.
+//! rendered through [`OutputMode`] from one fixed report and registry.
 //! Guards the `--json`/`--jsonl`/`--telemetry`/`--trace` surface against
 //! accidental format drift — downstream pipelines parse these bytes.
 
-use underradar_bench::cli::OutputSpec;
+use underradar_bench::cli::OutputMode;
 use underradar_telemetry::{Telemetry, TraceRecord};
 
 fn fixed_registry() -> underradar_telemetry::Registry {
@@ -25,15 +25,13 @@ const REPORT: &str = "row one\nrow two \"quoted\"\n";
 
 #[test]
 fn golden_text() {
-    let out = OutputSpec::new().render("e00_demo", REPORT, &fixed_registry());
+    let out = OutputMode::Text.render("e00_demo", REPORT, &fixed_registry());
     assert_eq!(out, REPORT);
 }
 
 #[test]
 fn golden_text_with_telemetry() {
-    let out = OutputSpec::new()
-        .telemetry(true)
-        .render("e00_demo", REPORT, &fixed_registry());
+    let out = OutputMode::TextWithTelemetry.render("e00_demo", REPORT, &fixed_registry());
     assert_eq!(
         out,
         "row one\n\
@@ -48,9 +46,7 @@ fn golden_text_with_telemetry() {
 
 #[test]
 fn golden_json() {
-    let out = OutputSpec::new()
-        .json(true)
-        .render("e00_demo", REPORT, &fixed_registry());
+    let out = OutputMode::Json.render("e00_demo", REPORT, &fixed_registry());
     assert_eq!(
         out,
         "{\"experiment\":\"e00_demo\",\
@@ -64,9 +60,7 @@ fn golden_json() {
 
 #[test]
 fn golden_jsonl() {
-    let out = OutputSpec::new()
-        .jsonl(true)
-        .render("e00_demo", REPORT, &fixed_registry());
+    let out = OutputMode::Jsonl.render("e00_demo", REPORT, &fixed_registry());
     assert_eq!(
         out,
         "{\"experiment\":\"e00_demo\",\"line\":0,\"text\":\"row one\"}\n\
@@ -80,9 +74,7 @@ fn golden_jsonl() {
 
 #[test]
 fn golden_trace() {
-    let out = OutputSpec::new()
-        .trace(true)
-        .render("e00_demo", REPORT, &fixed_registry());
+    let out = OutputMode::Trace.render("e00_demo", REPORT, &fixed_registry());
     assert_eq!(
         out,
         "row one\n\
@@ -92,40 +84,5 @@ fn golden_trace() {
          --- explain ---\n\
          trace verdict=(none) steps=1 because=stream.ooo_held@t=1500ns\n\
          \x20 t=1500ns [stream] ooo_held\n"
-    );
-}
-
-#[test]
-fn flag_combinations_resolve_by_precedence_not_order() {
-    // Every combination resolves identically regardless of flag order:
-    // trace > jsonl > json > telemetry.
-    let all = OutputSpec::new()
-        .telemetry(true)
-        .json(true)
-        .jsonl(true)
-        .trace(true);
-    assert_eq!(
-        all.render("e", REPORT, &fixed_registry()),
-        OutputSpec::new()
-            .trace(true)
-            .render("e", REPORT, &fixed_registry())
-    );
-    assert_eq!(
-        OutputSpec::new()
-            .json(true)
-            .jsonl(true)
-            .render("e", REPORT, &fixed_registry()),
-        OutputSpec::new()
-            .jsonl(true)
-            .render("e", REPORT, &fixed_registry())
-    );
-    assert_eq!(
-        OutputSpec::new()
-            .telemetry(true)
-            .json(true)
-            .render("e", REPORT, &fixed_registry()),
-        OutputSpec::new()
-            .json(true)
-            .render("e", REPORT, &fixed_registry())
     );
 }

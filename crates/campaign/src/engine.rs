@@ -122,14 +122,17 @@ impl ScopeConfig {
         }
     }
 
-    /// Override the flight-recorder ring capacity when tracing is active.
-    /// A `None` or a non-tracing config is unchanged — the capacity knob
-    /// tunes the ring, it never turns tracing on.
-    pub fn with_trace_capacity(mut self, capacity: Option<usize>) -> ScopeConfig {
-        if let (Some(_), Some(c)) = (self.trace, capacity) {
-            self.trace = Some(c);
-        }
-        self
+    /// `spec_fingerprint` extended with this scope: telemetry off, on, or
+    /// tracing into a ring of N records. Each journaled trial carries the
+    /// registry its scope recorded, so the run service keys its journal
+    /// by both: a resume under another scope is refused instead of
+    /// restoring registries of the wrong kind.
+    pub fn fingerprint(self, spec_fingerprint: u64) -> u64 {
+        let scope = match self.trace {
+            Some(capacity) => 2 + capacity as u64,
+            None => self.enabled as u64,
+        };
+        seed::splitmix64(spec_fingerprint ^ seed::splitmix64(scope))
     }
 
     /// Build a fresh per-trial scope matching the snapshotted handle.

@@ -150,11 +150,6 @@ pub struct CampaignSpec {
     /// engine. Shapes which flows monitors still track, so it is part of
     /// the fingerprint.
     pub monitor_reassembly: ReassemblyConfig,
-    /// Flight-recorder ring capacity override (`None` = the telemetry
-    /// handle's own capacity, normally `DEFAULT_TRACE_CAPACITY`). Shapes
-    /// which trace records survive eviction — and therefore journaled
-    /// trace bytes — so it is part of the fingerprint.
-    pub trace_capacity: Option<usize>,
 }
 
 impl CampaignSpec {
@@ -177,7 +172,6 @@ impl CampaignSpec {
             client_link_corrupt: 0.0,
             run_secs: 60,
             monitor_reassembly: ReassemblyConfig::default(),
-            trace_capacity: None,
         }
     }
 
@@ -277,12 +271,6 @@ impl CampaignSpec {
         self
     }
 
-    /// Override the flight-recorder ring capacity for traced runs.
-    pub fn trace_capacity(mut self, capacity: Option<usize>) -> CampaignSpec {
-        self.trace_capacity = capacity;
-        self
-    }
-
     /// Total trials the matrix expands to.
     pub fn trial_count(&self) -> usize {
         self.policies.len() * self.methods.len() * self.targets.len() * self.trials_per_cell
@@ -350,8 +338,6 @@ impl CampaignSpec {
                 OverlapPolicy::KeepLast => 1,
             },
         );
-        mix(&mut h, self.trace_capacity.is_some() as u64);
-        mix(&mut h, self.trace_capacity.unwrap_or(0) as u64);
         h
     }
 
@@ -464,8 +450,6 @@ mod tests {
                 overlap: OverlapPolicy::KeepLast,
                 ..ReassemblyConfig::default()
             }),
-            spec().trace_capacity(Some(4096)),
-            spec().trace_capacity(Some(128)),
         ];
         for (i, v) in variants.iter().enumerate() {
             assert_ne!(base.fingerprint(), v.fingerprint(), "variant {i}");

@@ -75,13 +75,13 @@ pub enum JournalError {
     BadHeader,
     /// The header's format version is not [`VERSION`].
     WrongVersion(u32),
-    /// The header was written by a different campaign spec (fingerprint
-    /// or trial count mismatch) — resuming would mix incompatible trial
-    /// streams.
+    /// The header was written by a different campaign spec or under a
+    /// different telemetry mode (fingerprint or trial count mismatch) —
+    /// resuming would mix incompatible trial streams.
     SpecMismatch {
         /// Fingerprint recorded in the journal header.
         found: u64,
-        /// Fingerprint of the spec attempting to resume.
+        /// Fingerprint of the run attempting to resume.
         expected: u64,
     },
 }
@@ -97,8 +97,9 @@ impl std::fmt::Display for JournalError {
             }
             JournalError::SpecMismatch { found, expected } => write!(
                 f,
-                "journal belongs to a different campaign \
-                 (fingerprint {found:#018x}, spec is {expected:#018x})"
+                "journal belongs to a different campaign or telemetry mode \
+                 (fingerprint {found:#018x}, this run is {expected:#018x}); \
+                 resume with the spec and telemetry mode that wrote it"
             ),
         }
     }

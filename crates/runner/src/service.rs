@@ -89,8 +89,6 @@ pub struct RunConfig {
     pub checkpoint: Option<PathBuf>,
     /// Journal fsync cadence in records (see [`Journal::set_fsync_every`]).
     pub fsync_every: u64,
-    /// Steal-batch size in trials (0 = automatic).
-    pub chunk: usize,
     /// Stream interval snapshots as JSONL on **stderr** (stdout bytes are
     /// untouched, so row/report determinism survives). `None` = silent.
     pub progress: Option<ProgressConfig>,
@@ -103,7 +101,6 @@ impl RunConfig {
             workers,
             checkpoint: None,
             fsync_every: 64,
-            chunk: 0,
             progress: None,
         }
     }
@@ -294,7 +291,9 @@ enum Msg {
 /// Run `spec` as a durable service: schedule with work stealing, stream
 /// rows into `sink` as trials complete, journal to `cfg.checkpoint`, and
 /// merge telemetry into `tel`. Resumes automatically when the journal
-/// already holds progress for this spec.
+/// already holds progress for this spec under the same telemetry scope
+/// (off, on, or traced at the same ring capacity); a journal written
+/// under another scope is refused with [`JournalError::SpecMismatch`].
 pub fn run_service(
     spec: &CampaignSpec,
     cfg: &RunConfig,
@@ -303,10 +302,11 @@ pub fn run_service(
 ) -> Result<ServiceOutcome, JournalError> {
     let run_start = Instant::now();
     let trials = spec.expand();
+    let scope_cfg = ScopeConfig::of(tel);
     let (mut journal, replay) = match &cfg.checkpoint {
         Some(path) => {
-            let (mut j, replay) =
-                Journal::open_or_create(path, spec.fingerprint(), trials.len() as u64)?;
+            let fingerprint = scope_cfg.fingerprint(spec.fingerprint());
+            let (mut j, replay) = Journal::open_or_create(path, fingerprint, trials.len() as u64)?;
             j.set_fsync_every(cfg.fsync_every);
             (Some(j), replay)
         }
@@ -353,9 +353,8 @@ pub fn run_service(
         let prep_start = Instant::now();
         let preps = engine::prepare(spec);
         prepare_ms = prep_start.elapsed().as_millis() as u64;
-        let scope_cfg = ScopeConfig::of(tel).with_trace_capacity(spec.trace_capacity);
         let workers = cfg.workers.clamp(1, expected);
-        let deques = underradar_campaign::steal::Deques::split(remaining.len(), workers, cfg.chunk);
+        let deques = underradar_campaign::steal::Deques::split(remaining.len(), workers, 0);
         let retry_tail = Mutex::new(seeded);
         let (tx, rx) = mpsc::sync_channel::<Msg>(workers * 4);
 

@@ -64,7 +64,7 @@ impl<W: Write> RowSink for JsonlSink<W> {
 }
 
 /// Keeps every row in memory: the sink behind [`crate::run_in_memory`]
-/// and `exp_campaign --json`, which need the trials themselves.
+/// and `underradar campaign --json`, which need the trials themselves.
 #[derive(Default)]
 pub struct CollectSink {
     /// Trials in completion order.

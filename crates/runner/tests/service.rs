@@ -84,7 +84,7 @@ fn fingerprint_run(spec: &CampaignSpec, cfg: &RunConfig) -> (String, String, Str
 /// order, each registry merged into `tel` in index order.
 fn reference(spec: &CampaignSpec, tel: &Telemetry) -> (StreamReport, Vec<TrialResult>) {
     let preps = engine::prepare(spec);
-    let cfg = ScopeConfig::of(tel).with_trace_capacity(spec.trace_capacity);
+    let cfg = ScopeConfig::of(tel);
     let mut report = StreamReport::new(&spec.name);
     let mut trials = Vec::new();
     for trial in spec.expand() {
@@ -407,4 +407,44 @@ fn a_journal_from_a_different_spec_is_refused() {
         other => panic!("expected SpecMismatch, got {other:?}"),
     }
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_journal_from_another_telemetry_scope_is_refused() {
+    // Each journaled trial carries the registry its scope recorded, so a
+    // resume under another scope would restore empty (or differently
+    // evicted) registries as if they were real: a plain checkpoint
+    // resumed under an audit would report zero exposure.
+    let spec = CampaignSpec::new("scope", 3)
+        .target("twitter.com")
+        .method(MethodKind::Scan)
+        .policy(NamedPolicy::new("control", CensorPolicy::new()))
+        .trials_per_cell(2)
+        .run_secs(30);
+    let names = ["disabled", "enabled", "trace 4096", "trace 128"];
+    let scope = |i: usize| match i {
+        0 => Telemetry::disabled(),
+        1 => Telemetry::enabled(),
+        2 => Telemetry::with_trace(4096),
+        _ => Telemetry::with_trace(128),
+    };
+    for (written, resumed) in [(0, 1), (0, 2), (2, 3)] {
+        let (wrote, resumes) = (names[written], names[resumed]);
+        let path = tmp(&format!("scope-{written}-{resumed}"));
+        let cfg = RunConfig::new(2).checkpoint(path.clone());
+        run_service(&spec, &cfg, &scope(written), &mut CollectSink::new())
+            .expect("checkpointed run");
+        match run_service(&spec, &cfg, &scope(resumed), &mut CollectSink::new()) {
+            Err(JournalError::SpecMismatch { .. }) => {}
+            other => panic!("{wrote} journal resumed under {resumes}: {other:?}"),
+        }
+        let same = run_service(&spec, &cfg, &scope(written), &mut CollectSink::new())
+            .expect("same-scope resume");
+        assert_eq!(
+            (same.executed, same.restored),
+            (0, spec.trial_count()),
+            "{wrote} journal resumed under {wrote}"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
 }

@@ -31,26 +31,12 @@ use std::rc::Rc;
 use crate::json;
 use crate::registry::FieldValue;
 
-/// Environment variable that turns tracing on for
-/// [`crate::Telemetry::from_env`] (implies telemetry).
-pub const TRACE_ENV: &str = "UNDERRADAR_TRACE";
-
 /// Default per-trial ring capacity (records).
 pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
 
-/// Environment variable overriding the flight-recorder ring capacity
-/// (records) wherever the default would apply — [`crate::Telemetry::from_env`]
-/// and the `bench::cli` front end. Does not itself enable tracing.
-pub const TRACE_CAPACITY_ENV: &str = "UNDERRADAR_TRACE_CAPACITY";
-
-/// Parse a ring capacity from an env-var value: a positive integer, or
-/// `None` for unset/empty/unparseable values (callers fall back to
-/// [`DEFAULT_TRACE_CAPACITY`]).
-pub fn capacity_from_env(value: Option<String>) -> Option<usize> {
-    value
-        .as_deref()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&c| c > 0)
+/// Parse a ring capacity: a positive integer, or `None` for anything else.
+pub fn parse_capacity(value: &str) -> Option<usize> {
+    value.parse::<usize>().ok().filter(|&c| c > 0)
 }
 
 /// The flow a record belongs to (client-to-server orientation of the
@@ -498,13 +484,13 @@ mod tests {
     }
 
     #[test]
-    fn capacity_env_parses_positive_integers_only() {
-        assert_eq!(capacity_from_env(None), None);
-        assert_eq!(capacity_from_env(Some(String::new())), None);
-        assert_eq!(capacity_from_env(Some("0".into())), None);
-        assert_eq!(capacity_from_env(Some("abc".into())), None);
-        assert_eq!(capacity_from_env(Some("128".into())), Some(128));
-        assert_eq!(capacity_from_env(Some(" 64 ".into())), Some(64));
+    fn capacity_parses_positive_integers_only() {
+        assert_eq!(parse_capacity(""), None);
+        assert_eq!(parse_capacity("0"), None);
+        assert_eq!(parse_capacity("abc"), None);
+        assert_eq!(parse_capacity("-3"), None);
+        assert_eq!(parse_capacity(" 64 "), None);
+        assert_eq!(parse_capacity("128"), Some(128));
     }
 
     #[test]

@@ -11,12 +11,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "==> tier-1: cargo build --release && cargo test (telemetry disabled)"
+echo "==> tier-1: cargo build --release && cargo test"
 cargo build --offline --release --workspace
 cargo test --offline -q --workspace
-
-echo "==> tier-1 re-run with telemetry enabled (UNDERRADAR_TELEMETRY=1)"
-UNDERRADAR_TELEMETRY=1 cargo test --offline -q --workspace
+# The one front end every smoke below drives.
+underradar=./target/release/underradar
 
 echo "==> full-scale churn acceptance (release-only sizing)"
 cargo test --offline --release -q -p underradar-ids --lib one_million_flow_churn
@@ -50,9 +49,8 @@ echo "==> e14 population-scale smoke (120k flows; batch + 1-vs-4-shard identity 
 # budget, batched-vs-per-packet verdict identity, and 1-vs-4-shard merged
 # output identity; stdout is deterministic (throughput goes to stderr),
 # so a double run pins report byte-stability too.
-cargo build --offline --release -p underradar-bench --bin exp_e14_scale
-./target/release/exp_e14_scale > "$tmpdir/e14_a.txt" 2>/dev/null
-./target/release/exp_e14_scale > "$tmpdir/e14_b.txt" 2>/dev/null
+"$underradar" experiments e14 > "$tmpdir/e14_a.txt" 2>/dev/null
+"$underradar" experiments e14 > "$tmpdir/e14_b.txt" 2>/dev/null
 cmp "$tmpdir/e14_a.txt" "$tmpdir/e14_b.txt"
 grep -q "batched vs per-packet verdicts: identical" "$tmpdir/e14_a.txt"
 grep -q "shard merged output: byte-identical" "$tmpdir/e14_a.txt"
@@ -63,23 +61,21 @@ echo "==> e13 divergence-matrix smoke (35-cell golden; 1-vs-4-shard verdict iden
 # = schedule position), so a double run pins report byte-stability, the
 # golden line pins the divergence count, and the shard line pins that
 # worker count cannot change campaign verdicts.
-cargo build --offline --release -p underradar-bench --bin exp_e13_evasion
-./target/release/exp_e13_evasion > "$tmpdir/e13_a.txt" 2>/dev/null
-./target/release/exp_e13_evasion > "$tmpdir/e13_b.txt" 2>/dev/null
+"$underradar" experiments e13 > "$tmpdir/e13_a.txt" 2>/dev/null
+"$underradar" experiments e13 > "$tmpdir/e13_b.txt" 2>/dev/null
 cmp "$tmpdir/e13_a.txt" "$tmpdir/e13_b.txt"
 grep -q "divergence matrix: 35 cells, 30 verdict flips" "$tmpdir/e13_a.txt"
 grep -q "1-vs-4-shard verdicts: byte-identical" "$tmpdir/e13_a.txt"
 grep -q "PASSED" "$tmpdir/e13_a.txt"
 
 echo "==> campaign determinism smoke (sequential vs 4-shard byte identity)"
-cargo build --offline --release -p underradar-bench --bin exp_campaign
-./target/release/exp_campaign --json --shards 1 > "$tmpdir/campaign_1.json"
-./target/release/exp_campaign --json --shards 4 > "$tmpdir/campaign_4.json"
+"$underradar" campaign --json --shards 1 > "$tmpdir/campaign_1.json"
+"$underradar" campaign --json --shards 4 > "$tmpdir/campaign_4.json"
 cmp "$tmpdir/campaign_1.json" "$tmpdir/campaign_4.json"
 
 echo "==> impairment determinism smoke (reorder/duplicate knobs, 1 vs 4 shards)"
-./target/release/exp_campaign --impair --json --shards 1 > "$tmpdir/campaign_impair_1.json"
-./target/release/exp_campaign --impair --json --shards 4 > "$tmpdir/campaign_impair_4.json"
+"$underradar" campaign --impair --json --shards 1 > "$tmpdir/campaign_impair_1.json"
+"$underradar" campaign --impair --json --shards 4 > "$tmpdir/campaign_impair_4.json"
 cmp "$tmpdir/campaign_impair_1.json" "$tmpdir/campaign_impair_4.json"
 if cmp -s "$tmpdir/campaign_1.json" "$tmpdir/campaign_impair_1.json"; then
   echo "impairment knobs had no effect on the campaign output" >&2
@@ -87,9 +83,9 @@ if cmp -s "$tmpdir/campaign_1.json" "$tmpdir/campaign_impair_1.json"; then
 fi
 
 echo "==> flight-recorder smoke (--trace: report unchanged, shard-stable, chains non-empty)"
-./target/release/exp_campaign --shards 1 > "$tmpdir/campaign_plain.txt"
-./target/release/exp_campaign --trace --shards 1 > "$tmpdir/campaign_trace_1.txt"
-./target/release/exp_campaign --trace --shards 4 > "$tmpdir/campaign_trace_4.txt"
+"$underradar" campaign --shards 1 > "$tmpdir/campaign_plain.txt"
+"$underradar" campaign --trace --shards 1 > "$tmpdir/campaign_trace_1.txt"
+"$underradar" campaign --trace --shards 4 > "$tmpdir/campaign_trace_4.txt"
 # Tracing is additive: the traced output must start with the exact bytes
 # of the untraced report (so leaving --trace off can never change results),
 # and must itself be byte-identical across shard counts.
@@ -115,33 +111,55 @@ awk '
 ' "$tmpdir/campaign_trace_1.txt"
 
 echo "==> worker-count smoke (1 vs 8 workers byte identity)"
-./target/release/exp_campaign --shards 8 > "$tmpdir/campaign_8.txt" 2>/dev/null
+"$underradar" campaign --shards 8 > "$tmpdir/campaign_8.txt" 2>/dev/null
 cmp "$tmpdir/campaign_plain.txt" "$tmpdir/campaign_8.txt"
 
-echo "==> argument smoke (an unknown flag exits 2 and names itself)"
-set +e
-./target/release/exp_campaign --shard 4 > /dev/null 2> "$tmpdir/bad_flag.err"
-bad_flag_status=$?
-set -e
-if [ "$bad_flag_status" -ne 2 ]; then
-  echo "exp_campaign --shard 4 exited $bad_flag_status, want 2" >&2
-  exit 1
-fi
-grep -q -- "'--shard'" "$tmpdir/bad_flag.err"
+echo "==> argument smoke (a bad command line exits 2 and names the input)"
+expect_usage_error() { # expected-text, underradar args...
+  local want="$1"; shift
+  local status=0
+  "$underradar" "$@" > /dev/null 2> "$tmpdir/bad_args.err" || status=$?
+  if [ "$status" -ne 2 ] || ! grep -q -- "$want" "$tmpdir/bad_args.err"; then
+    echo "underradar $* exited $status, want 2 naming $want:" >&2
+    cat "$tmpdir/bad_args.err" >&2
+    exit 1
+  fi
+}
+expect_usage_error "'--shard'" campaign --shard 4
+expect_usage_error "'--jsno'" experiments e2 --jsno
+expect_usage_error "'--json' and '--trace'" experiments e2 --json --trace
+expect_usage_error "'abc'" experiments e2 --trace-capacity abc
+expect_usage_error "'--json'" experiments all --json
+expect_usage_error "trial 999" campaign --synthetic 20 --trace-diff 3 999
 
 echo "==> pipe smoke (--jsonl into a closed pipe fails stop instead of hanging)"
 # head exits after one row; the sink's next write fails with EPIPE and
 # the run must return promptly. A timeout (status 124) means a hang.
 set +e
-timeout 30 ./target/release/exp_campaign --synthetic 20000 --shards 2 --jsonl 2>/dev/null \
+timeout 30 "$underradar" campaign --synthetic 20000 --shards 2 --jsonl 2>/dev/null \
   | head -1 > "$tmpdir/pipe_head.txt"
 pipe_status=("${PIPESTATUS[@]}")
 set -e
 if [ "${pipe_status[0]}" -eq 124 ]; then
-  echo "exp_campaign --jsonl hung on a closed pipe (killed after 30s)" >&2
+  echo "underradar campaign --jsonl hung on a closed pipe (killed after 30s)" >&2
   exit 1
 fi
 grep -q '^{"index":' "$tmpdir/pipe_head.txt"
+
+echo "==> stdout pipe smoke (a closed stdout is a named error, never a panic)"
+# Status 101 is a Rust panic. The e13 trace is far larger than a pipe
+# buffer, so its write must meet the closed pipe: exit 1, naming stdout.
+set +e
+"$underradar" experiments e2 --json | head -1 > /dev/null
+e2_status=${PIPESTATUS[0]}
+"$underradar" experiments e13 --trace 2> "$tmpdir/stdout_pipe.err" | head -1 > /dev/null
+e13_status=${PIPESTATUS[0]}
+set -e
+if [ "$e2_status" -eq 101 ] || [ "$e13_status" -ne 1 ]; then
+  echo "closed stdout: e2 --json exited $e2_status, e13 --trace exited $e13_status (want 1)" >&2
+  exit 1
+fi
+grep -q 'stdout: Broken pipe' "$tmpdir/stdout_pipe.err"
 
 echo "==> safety-audit smoke (--audit: double run, 1-vs-4 and 1-vs-8-shard identity)"
 # The exposure ledger rides the merged telemetry registry, so the audit
@@ -150,12 +168,12 @@ echo "==> safety-audit smoke (--audit: double run, 1-vs-4 and 1-vs-8-shard ident
 # matrix must also surface at least one declared-vs-observed divergence
 # (a cell that declares itself fully evaded while the adversary holds
 # attributable events).
-./target/release/exp_campaign --audit > "$tmpdir/audit_a.txt" 2>/dev/null
-./target/release/exp_campaign --audit > "$tmpdir/audit_b.txt" 2>/dev/null
+"$underradar" campaign --audit > "$tmpdir/audit_a.txt" 2>/dev/null
+"$underradar" campaign --audit > "$tmpdir/audit_b.txt" 2>/dev/null
 cmp "$tmpdir/audit_a.txt" "$tmpdir/audit_b.txt"
-./target/release/exp_campaign --audit --shards 4 > "$tmpdir/audit_4.txt" 2>/dev/null
+"$underradar" campaign --audit --shards 4 > "$tmpdir/audit_4.txt" 2>/dev/null
 cmp "$tmpdir/audit_a.txt" "$tmpdir/audit_4.txt"
-./target/release/exp_campaign --audit --shards 8 > "$tmpdir/audit_8.txt" 2>/dev/null
+"$underradar" campaign --audit --shards 8 > "$tmpdir/audit_8.txt" 2>/dev/null
 cmp "$tmpdir/audit_a.txt" "$tmpdir/audit_8.txt"
 grep -q '^divergence: ' "$tmpdir/audit_a.txt"
 # Auditing is additive: the plain report's exact bytes lead the output.
@@ -166,14 +184,14 @@ echo "==> crash-resume smoke (SIGKILL mid-run, resume from journal, byte identit
 # CI hardware); the resumed run must both restore journaled trials and
 # execute the remainder, and its stdout must match the uninterrupted run.
 n=30000
-./target/release/exp_campaign --synthetic "$n" --shards 4 > "$tmpdir/service_clean.txt" 2>/dev/null
-./target/release/exp_campaign --synthetic "$n" --shards 4 \
+"$underradar" campaign --synthetic "$n" --shards 4 > "$tmpdir/service_clean.txt" 2>/dev/null
+"$underradar" campaign --synthetic "$n" --shards 4 \
   --checkpoint "$tmpdir/ckpt.journal" > /dev/null 2>&1 &
 victim=$!
 sleep 1.5
 kill -9 "$victim" 2>/dev/null || true
 wait "$victim" 2>/dev/null || true
-./target/release/exp_campaign --synthetic "$n" --shards 4 \
+"$underradar" campaign --synthetic "$n" --shards 4 \
   --checkpoint "$tmpdir/ckpt.journal" > "$tmpdir/service_resumed.txt" 2> "$tmpdir/service_resumed.err"
 cmp "$tmpdir/service_clean.txt" "$tmpdir/service_resumed.txt"
 grep -E 'service: [0-9]+ executed, [0-9]+ restored' "$tmpdir/service_resumed.err"
@@ -182,10 +200,26 @@ if grep -qE 'service: 0 executed|service: [0-9]+ executed, 0 restored' "$tmpdir/
   exit 1
 fi
 
+echo "==> telemetry-mode resume smoke (a plain journal is refused by --audit)"
+# Journaled trials carry the registry of the mode that ran them; a plain
+# run records none, so an audit resumed from its journal would report
+# zero exposure. The journal is keyed by the telemetry mode and refused.
+"$underradar" campaign --synthetic 200 --checkpoint "$tmpdir/plain.journal" > /dev/null 2>&1
+set +e
+"$underradar" campaign --synthetic 200 --audit --checkpoint "$tmpdir/plain.journal" \
+  > /dev/null 2> "$tmpdir/mode_resume.err"
+mode_resume_status=$?
+set -e
+if [ "$mode_resume_status" -ne 1 ]; then
+  echo "--audit resumed a plain journal: exit $mode_resume_status, want 1" >&2
+  exit 1
+fi
+grep -q 'different campaign or telemetry mode' "$tmpdir/mode_resume.err"
+
 echo "==> progress smoke (--progress: snapshots stream on stderr, stdout untouched)"
 # Interval snapshots go to stderr only; stdout must be byte-identical to
 # the silent run of the same matrix (service_clean.txt from above).
-./target/release/exp_campaign --synthetic "$n" --shards 4 --progress=5000 \
+"$underradar" campaign --synthetic "$n" --shards 4 --progress=5000 \
   > "$tmpdir/progress_on.txt" 2> "$tmpdir/progress_on.err"
 cmp "$tmpdir/service_clean.txt" "$tmpdir/progress_on.txt"
 grep -q '"rows_per_sec"' "$tmpdir/progress_on.err"

@@ -1,13 +1,18 @@
-//! The `underradar` command-line tool: run experiments and ad-hoc surveys
-//! against the simulated testbed.
+//! The `underradar` command-line tool: run experiments, the campaign and
+//! ad-hoc surveys against the simulated testbed.
 //!
 //! ```text
-//! underradar experiments [e1..e14|a1|all]  regenerate paper tables/figures
+//! underradar experiments [e1..e14|a1|all] [MODE] [--trace-capacity N]
+//!                                          regenerate paper tables/figures
+//! underradar campaign [flags]              run the paper-scale campaign
 //! underradar survey --domains a,b,c [--block d] [--keyword k]
 //!                                          run a stealthy survey
 //! underradar pcap <out.pcap>               write a sample capture for Wireshark
 //! underradar calibrate                     find the Fig-3b reply-TTL window
 //! ```
+//!
+//! `experiments` and `campaign` share one flag grammar
+//! (`underradar_bench::cli`).
 
 use std::net::Ipv4Addr;
 use std::process::ExitCode;
@@ -22,44 +27,52 @@ use underradar::core::testbed::{Testbed, TestbedConfig};
 use underradar::netsim::host::Host;
 use underradar::netsim::time::{SimDuration, SimTime};
 use underradar::protocols::dns::DnsName;
+use underradar_bench::cli::{self, Failure};
+
+const USAGE: &str = "usage:
+  underradar experiments [e1..e14|a1|all] [--json|--jsonl|--telemetry|--trace] [--trace-capacity N]
+  underradar campaign [--json|--jsonl|--telemetry|--trace|--audit[=json]|--trace-diff A B]
+      [--trace-capacity N] [--shards N] [--impair] [--progress[=N]] [--profile]
+      [--profile-json PATH] [--checkpoint PATH] [--synthetic N]
+  underradar survey --domains a,b,c [--block domain]... [--keyword kw]...
+  underradar pcap <out.pcap>
+  underradar calibrate";
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  underradar experiments [e1..e14|a1|all]\n  underradar survey --domains a,b,c \
-         [--block domain]... [--keyword kw]...\n  underradar pcap <out.pcap>\n  underradar calibrate"
-    );
+    eprintln!("{USAGE}");
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("experiments") => experiments(args.get(1).map(String::as_str).unwrap_or("all")),
-        Some("survey") => survey(&args[1..]),
-        Some("pcap") => match args.get(1) {
+    let Some(cmd) = args.first().map(String::as_str) else {
+        return usage();
+    };
+    let result = match cmd {
+        "experiments" => cli::experiments(&args[1..]),
+        "campaign" => cli::campaign::campaign(&args[1..]),
+        "survey" => survey(&args[1..]),
+        "pcap" => match args.get(1) {
             Some(path) => pcap_demo(path),
-            None => usage(),
+            None => return usage(),
         },
-        Some("calibrate") => calibrate(),
-        _ => usage(),
+        "calibrate" => calibrate(),
+        _ => return usage(),
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(Failure::Usage(msg)) => {
+            eprintln!("underradar {cmd}: {msg}");
+            usage()
+        }
+        Err(Failure::Run(msg)) => {
+            eprintln!("underradar {cmd}: {msg}");
+            ExitCode::FAILURE
+        }
     }
 }
 
-fn experiments(which: &str) -> ExitCode {
-    use underradar_bench::experiments as exp;
-    let report = if which.eq_ignore_ascii_case("all") {
-        exp::run_all()
-    } else if let Some((_, run_with)) = exp::find(which) {
-        run_with(&underradar_telemetry::Telemetry::disabled())
-    } else {
-        eprintln!("unknown experiment '{which}' (e1..e14, a1 or all)");
-        return ExitCode::from(2);
-    };
-    print!("{report}");
-    ExitCode::SUCCESS
-}
-
-fn survey(args: &[String]) -> ExitCode {
+fn survey(args: &[String]) -> Result<(), Failure> {
     let mut domains: Vec<String> = Vec::new();
     let mut policy = CensorPolicy::new();
     let mut i = 0usize;
@@ -70,28 +83,20 @@ fn survey(args: &[String]) -> ExitCode {
                 i += 2;
             }
             "--block" if i + 1 < args.len() => {
-                match DnsName::parse(&args[i + 1]) {
-                    Ok(d) => policy = policy.block_domain(&d),
-                    Err(e) => {
-                        eprintln!("bad --block domain: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
+                let d = DnsName::parse(&args[i + 1])
+                    .map_err(|e| Failure::Usage(format!("bad --block domain: {e}")))?;
+                policy = policy.block_domain(&d);
                 i += 2;
             }
             "--keyword" if i + 1 < args.len() => {
                 policy = policy.block_keyword(&args[i + 1]);
                 i += 2;
             }
-            other => {
-                eprintln!("unknown survey argument '{other}'");
-                return ExitCode::from(2);
-            }
+            other => return Err(Failure::Usage(format!("unknown survey argument '{other}'"))),
         }
     }
     if domains.is_empty() {
-        eprintln!("survey needs --domains a,b,c");
-        return ExitCode::from(2);
+        return Err(Failure::Usage("survey needs --domains a,b,c".to_string()));
     }
 
     // Build targets for every surveyed domain so the resolver knows them.
@@ -120,22 +125,21 @@ fn survey(args: &[String]) -> ExitCode {
     }
     tb.run_secs(20 + 3 * domains.len() as u64);
 
-    println!("spam-cloaked survey results");
-    println!("---------------------------");
+    let mut out = String::from("spam-cloaked survey results\n---------------------------\n");
     let mut last_verdict = None;
     for (domain, idx) in &idxs {
         let probe = tb.client_task::<SpamProbe>(*idx).expect("probe state");
-        println!("{domain:<24} {}", probe.verdict());
+        out.push_str(&format!("{domain:<24} {}\n", probe.verdict()));
         last_verdict = Some(probe.verdict());
     }
     if let Some(v) = last_verdict {
         let report = RiskReport::evaluate(&tb, &v);
-        println!("\nrisk: {}", report.summary());
+        out.push_str(&format!("\nrisk: {}\n", report.summary()));
     }
-    ExitCode::SUCCESS
+    cli::write_stdout(&out)
 }
 
-fn pcap_demo(path: &str) -> ExitCode {
+fn pcap_demo(path: &str) -> Result<(), Failure> {
     // A short censored exchange, captured and written as pcap.
     let policy = CensorPolicy::new().block_keyword("falun");
     let mut tb = Testbed::build(TestbedConfig {
@@ -153,23 +157,15 @@ fn pcap_demo(path: &str) -> ExitCode {
     tb.run_secs(30);
     let cap = tb.sim.capture().expect("capture enabled");
     let bytes = underradar::netsim::pcap::to_pcap(cap);
-    match std::fs::write(path, &bytes) {
-        Ok(()) => {
-            println!(
-                "wrote {} packets ({} bytes) to {path}",
-                cap.len(),
-                bytes.len()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("write failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    std::fs::write(path, &bytes).map_err(|e| Failure::Run(format!("write failed: {e}")))?;
+    cli::write_stdout(&format!(
+        "wrote {} packets ({} bytes) to {path}\n",
+        cap.len(),
+        bytes.len()
+    ))
 }
 
-fn calibrate() -> ExitCode {
+fn calibrate() -> Result<(), Failure> {
     // Hop discovery from the measurement server, then the recommended TTL.
     let mut net = RoutedMimicryNet::build(7, CensorPolicy::new());
     let cover: Ipv4Addr = net.cover_ip;
@@ -184,18 +180,25 @@ fn calibrate() -> ExitCode {
         .expect("mserver host")
         .task_ref::<HopProbe>(0)
         .expect("probe state");
-    println!("path from measurement server toward {cover}:");
+    let mut out = format!("path from measurement server toward {cover}:\n");
     for (ttl, router) in probe.path() {
-        println!("  hop {ttl}: {router}");
+        out.push_str(&format!("  hop {ttl}: {router}\n"));
     }
-    match (probe.hops_to_target(), probe.calibrated_reply_ttl()) {
+    let calibrated = match (probe.hops_to_target(), probe.calibrated_reply_ttl()) {
         (Some(h), Some(t)) => {
-            println!("target reached at TTL {h}; calibrated reply TTL = {t}");
-            ExitCode::SUCCESS
+            out.push_str(&format!(
+                "target reached at TTL {h}; calibrated reply TTL = {t}\n"
+            ));
+            true
         }
-        _ => {
-            eprintln!("calibration failed: target not reached within the sweep");
-            ExitCode::FAILURE
-        }
+        _ => false,
+    };
+    cli::write_stdout(&out)?;
+    if calibrated {
+        Ok(())
+    } else {
+        Err(Failure::Run(
+            "calibration failed: target not reached within the sweep".to_string(),
+        ))
     }
 }
