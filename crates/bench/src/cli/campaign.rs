@@ -1,7 +1,7 @@
 //! `underradar campaign`: the paper-scale measurement campaign (all 8
 //! methods × 4 censor policies × 4 targets × 4 seeds = 512 trials) run
-//! through the run service (`underradar-runner`): work-stealing
-//! scheduling, streaming rows, and (with `--checkpoint`) a crash-safe
+//! through the run service (`underradar-runner`): one shared trial
+//! cursor, streaming rows, and (with `--checkpoint`) a crash-safe
 //! journal.
 //!
 //! Besides the shared output modes (see [`super`]) it takes:
@@ -30,11 +30,11 @@
 //! * `--profile` — print a wall-clock profile footer (prepare/run/score
 //!   stage timings) to stderr; stdout stays deterministic.
 //! * `--profile-json PATH` — write the stage timings plus the service's
-//!   per-worker busy/attempt counts and steal/retry totals to `PATH` as
+//!   per-worker busy/attempt counts and the retry total to `PATH` as
 //!   sorted-key JSON.
 //! * `--progress` (or `--progress=N`, snapshot every `N` trials) — stream
 //!   interval snapshots (done/total, rows/sec, ETA, per-worker busy
-//!   fractions, steal/retry counts, journal lag) as JSONL on **stderr**;
+//!   fractions, retry count, journal lag) as JSONL on **stderr**;
 //!   stdout bytes are untouched.
 //! * `--checkpoint PATH` — journal every completed trial to `PATH`. A
 //!   killed run resumed with the same flags skips journaled trials and
@@ -201,12 +201,11 @@ fn write_profile_json(path: &Path, clock: &StageClock, p: &RunProfile) -> Result
             .join(",")
     };
     let mut out = format!(
-        "{{\"service\":{{\"prepare_ms\":{},\"retries_seen\":{},\"snapshots\":{},\"steals\":{},\
+        "{{\"service\":{{\"prepare_ms\":{},\"retries_seen\":{},\"snapshots\":{},\
          \"wall_ms\":{},\"worker_attempts\":[{}],\"worker_busy_ns\":[{}]}}",
         p.prepare_ms,
         p.retries_seen,
         p.snapshots,
-        p.steals,
         p.wall_ms,
         join(&p.worker_attempts),
         join(&p.worker_busy_ns)

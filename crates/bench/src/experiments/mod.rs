@@ -1,7 +1,7 @@
 //! One module per reproduced table/figure. See `DESIGN.md` §4 for the
 //! experiment ↔ paper mapping.
 
-use underradar_campaign::steal::run_chunked;
+use underradar_campaign::sched::run_indexed;
 use underradar_telemetry::{Registry, Telemetry};
 
 pub mod a1_ablations;
@@ -66,11 +66,11 @@ fn workers() -> usize {
 /// harness so one command regenerates all tables and figures).
 ///
 /// The experiments fan out across worker threads with the campaign
-/// scheduler ([`run_chunked`]); the concatenation is in [`ALL`] order,
+/// scheduler ([`run_indexed`]); the concatenation is in [`ALL`] order,
 /// and each experiment seeds its own RNGs, so the report is byte-identical
 /// to a sequential run.
 pub fn run_all() -> String {
-    run_chunked(ALL.len(), workers(), |i| ALL[i].1(&Telemetry::disabled())).concat()
+    run_indexed(ALL.len(), workers(), |i| ALL[i].1(&Telemetry::disabled())).concat()
 }
 
 /// One experiment's outcome: name, rendered report, telemetry registry.
@@ -81,7 +81,7 @@ pub type ExperimentResult = (&'static str, String, Registry);
 /// independent of scheduling; the output is in item order and
 /// byte-identical to [`collect_sequential`].
 pub fn collect(experiments: &[Experiment]) -> Vec<ExperimentResult> {
-    run_chunked(experiments.len(), workers(), |i| {
+    run_indexed(experiments.len(), workers(), |i| {
         let (name, run) = experiments[i];
         let tel = Telemetry::enabled();
         let report = run(&tel);

@@ -17,7 +17,7 @@
 //! run service. A consolidated `cargo bench` harness
 //! (`benches/experiments.rs`) prints all of them. [`experiments::run_all`]
 //! fans the experiments across threads with the campaign scheduler
-//! (`underradar_campaign::steal::run_chunked`); determinism is preserved
+//! (`underradar_campaign::sched::run_indexed`); determinism is preserved
 //! because each experiment seeds its own RNGs. The experiment ↔ paper
 //! mapping lives in `DESIGN.md` §4 and `EXPERIMENTS.md`.
 

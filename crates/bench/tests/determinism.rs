@@ -1,7 +1,7 @@
 //! Telemetry determinism regression (ISSUE satellite): the registries an
 //! experiment produces — and the `BENCH_telemetry.json` rendering built
 //! from them — must be byte-identical run-to-run and between the
-//! sequential and sharded (`run_chunked`) execution paths.
+//! sequential and sharded (`run_indexed`) execution paths.
 //!
 //! Uses the cheaper experiments so the double-run stays fast; the sharded
 //! path is the same code `cargo bench --bench experiments` uses for all

@@ -7,10 +7,10 @@
 //! The engine does not schedule or commit: campaigns run through the run
 //! service in `underradar-runner`, which spreads trials over workers and
 //! folds results and registries back in an order-independent way. The
-//! retry loop is split at attempt boundaries ([`run_trial_attempt`]) so
-//! the service can journal a retry decision — with the registry
-//! accumulated so far — and resume the trial at the exact attempt it was
-//! about to run.
+//! retry loop ([`run_trial_from`]) starts from any `(attempt, registry)`
+//! state and reports each retry decision through a hook, so the service
+//! can journal it — with the registry accumulated so far — and a resume
+//! continues the trial at the exact attempt it was about to run.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -150,22 +150,6 @@ impl ScopeConfig {
     }
 }
 
-/// What one attempt of a trial decided: a final result, or a retry with
-/// the attempt number to run next.
-pub enum AttemptOutcome {
-    /// The verdict is final (conclusive, or the retry budget is spent).
-    Done(Box<TrialResult>),
-    /// The verdict was `Inconclusive` with budget remaining; re-run with
-    /// `next_attempt`. The accumulated registry passed to
-    /// [`run_trial_attempt`] already holds this attempt's telemetry and
-    /// must travel with the trial (the runner journals it so resumed runs
-    /// keep byte-identical merged telemetry).
-    Retry {
-        /// Attempt number for the next call to [`run_trial_attempt`].
-        next_attempt: u32,
-    },
-}
-
 /// One trial with retries: re-instantiate the world from a derived seed
 /// whenever the verdict is `Inconclusive`, granting `backoff_secs` extra
 /// simulated seconds per attempt, up to `max_retries`.
@@ -175,28 +159,28 @@ pub fn run_trial(
     trial: &Trial,
     cfg: ScopeConfig,
 ) -> (TrialResult, Registry) {
-    let mut acc = Registry::new();
-    let mut attempt = 0u32;
-    loop {
-        match run_trial_attempt(spec, prep, trial, attempt, &mut acc, cfg) {
-            AttemptOutcome::Done(result) => return (*result, acc),
-            AttemptOutcome::Retry { next_attempt } => attempt = next_attempt,
-        }
-    }
+    run_trial_from(spec, prep, trial, cfg, 0, Registry::new(), |_, _| {})
 }
 
-/// Run exactly one attempt of a trial, accumulating its telemetry (and
-/// trace markers) into `acc`. Attempt 0 pushes the trial-start marker;
-/// callers resuming a journaled retry pass the journaled `acc` and the
-/// journaled attempt number, which reproduces the uninterrupted stream.
-pub fn run_trial_attempt(
+/// [`run_trial`] from the start state `(attempt, acc)`: the attempt to
+/// run first and the registry the attempts before it accumulated. A fresh
+/// trial starts at `(0, Registry::new())`; a resume passes the attempt
+/// and registry of the trial's last journaled retry, which reproduces the
+/// uninterrupted telemetry and trace stream.
+///
+/// After every `Inconclusive` attempt that will be retried,
+/// `on_retry(next_attempt, &acc)` sees the attempt to run next and the
+/// registry accumulated so far, already holding the finished attempt's
+/// telemetry. That pair is exactly the start state a resume needs.
+pub fn run_trial_from(
     spec: &CampaignSpec,
     prep: &PolicyPrep<'_>,
     trial: &Trial,
-    attempt: u32,
-    acc: &mut Registry,
     cfg: ScopeConfig,
-) -> AttemptOutcome {
+    mut attempt: u32,
+    mut acc: Registry,
+    mut on_retry: impl FnMut(u32, &Registry),
+) -> (TrialResult, Registry) {
     if attempt == 0 && cfg.tracing() {
         // A trial-start marker first, so the merged trace splits into
         // contiguous per-trial segments (the explainer keys off these).
@@ -211,54 +195,55 @@ pub fn run_trial_attempt(
             ],
         ));
     }
-    let attempt_seed = seed::attempt_seed(trial.seed, attempt);
-    let horizon = spec.run_secs + spec.retry.backoff_secs * attempt as u64;
-    let horizon_ns = horizon.saturating_mul(1_000_000_000);
-    let scope = cfg.scope();
-    let mut result = execute(spec, prep, trial, attempt_seed, horizon, &scope);
-    acc.merge(&scope.snapshot());
-    let inconclusive = matches!(result.verdict, Verdict::Inconclusive(_));
-    if !inconclusive || attempt >= spec.retry.max_retries {
-        result.retries = attempt;
-        bump(acc, "campaign.trials", 1);
-        bump(acc, "campaign.retries", attempt as u64);
-        let label = trial.method.label();
-        bump(acc, &format!("campaign.method.{label}.trials"), 1);
-        bump(
-            acc,
-            &format!("campaign.method.{label}.retries"),
-            attempt as u64,
-        );
-        if inconclusive {
-            bump(acc, "campaign.inconclusive_final", 1);
+    loop {
+        let attempt_seed = seed::attempt_seed(trial.seed, attempt);
+        let horizon = spec.run_secs + spec.retry.backoff_secs * attempt as u64;
+        let horizon_ns = horizon.saturating_mul(1_000_000_000);
+        let scope = cfg.scope();
+        let mut result = execute(spec, prep, trial, attempt_seed, horizon, &scope);
+        acc.merge(&scope.snapshot());
+        let inconclusive = matches!(result.verdict, Verdict::Inconclusive(_));
+        if !inconclusive || attempt >= spec.retry.max_retries {
+            result.retries = attempt;
+            bump(&mut acc, "campaign.trials", 1);
+            bump(&mut acc, "campaign.retries", attempt as u64);
+            let label = trial.method.label();
+            bump(&mut acc, &format!("campaign.method.{label}.trials"), 1);
+            bump(
+                &mut acc,
+                &format!("campaign.method.{label}.retries"),
+                attempt as u64,
+            );
+            if inconclusive {
+                bump(&mut acc, "campaign.inconclusive_final", 1);
+            }
+            if cfg.tracing() {
+                acc.trace.push(campaign_record(
+                    horizon_ns,
+                    "verdict",
+                    vec![
+                        ("verdict", result.verdict.to_string().into()),
+                        ("retries", u64::from(attempt).into()),
+                    ],
+                ));
+            }
+            return (result, acc);
         }
         if cfg.tracing() {
+            // The retry decision itself is a trace-worthy event: it
+            // changes the seed and grants backoff horizon, so a verdict
+            // that flips across attempts is explained by this record.
             acc.trace.push(campaign_record(
                 horizon_ns,
-                "verdict",
+                "retry",
                 vec![
-                    ("verdict", result.verdict.to_string().into()),
-                    ("retries", u64::from(attempt).into()),
+                    ("attempt", u64::from(attempt + 1).into()),
+                    ("backoff_secs", spec.retry.backoff_secs.into()),
                 ],
             ));
         }
-        return AttemptOutcome::Done(Box::new(result));
-    }
-    if cfg.tracing() {
-        // The retry decision itself is a trace-worthy event: it changes
-        // the seed and grants backoff horizon, so a verdict that flips
-        // across attempts is explained by this record.
-        acc.trace.push(campaign_record(
-            horizon_ns,
-            "retry",
-            vec![
-                ("attempt", u64::from(attempt + 1).into()),
-                ("backoff_secs", spec.retry.backoff_secs.into()),
-            ],
-        ));
-    }
-    AttemptOutcome::Retry {
-        next_attempt: attempt + 1,
+        attempt += 1;
+        on_retry(attempt, &acc);
     }
 }
 

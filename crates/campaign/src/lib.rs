@@ -6,8 +6,8 @@
 //! A deterministic **campaign engine** for running measurement studies at
 //! scale: a declarative [`CampaignSpec`] (targets × methods × censor
 //! policies × trial seeds) expands into a work matrix, schedules trials
-//! across OS threads with work stealing ([`steal`]), caches built testbed
-//! templates per policy, retries
+//! across OS threads from one shared cursor ([`sched`]), caches built
+//! testbed templates per policy, retries
 //! `Inconclusive` trials with bounded backoff in *simulated* time, and
 //! aggregates per-method accuracy/risk matrices plus merged telemetry.
 //!
@@ -20,7 +20,7 @@
 //! `underradar-runner` (`run_service`, or `run_in_memory` for a plain
 //! in-memory run). This crate supplies what it executes: the spec, the
 //! per-trial engine ([`engine::prepare`], [`engine::run_trial`]), the
-//! scheduler ([`steal`]) and the per-cell fold ([`StreamReport`]).
+//! scheduler ([`sched`]) and the per-cell fold ([`StreamReport`]).
 //!
 //! Determinism contract: a trial's result and telemetry are a pure
 //! function of the spec and the trial's index. Trial seeds are derived
@@ -48,9 +48,9 @@
 
 pub mod engine;
 pub mod report;
+pub mod sched;
 pub mod seed;
 pub mod spec;
-pub mod steal;
 
 pub use report::{CampaignReport, CellStat, StreamReport, TrialResult};
 pub use spec::{CampaignSpec, MethodKind, NamedPolicy, RetryPolicy, Trial};

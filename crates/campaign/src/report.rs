@@ -158,7 +158,7 @@ impl CampaignReport {
 
 /// Bounded-memory incremental aggregation of trial results: the cell
 /// matrix and campaign totals, built by absorbing one [`TrialResult`] at
-/// a time in *any* order (completion order under work stealing included)
+/// a time in *any* order (a parallel run's completion order included)
 /// without retaining the trials themselves.
 ///
 /// Every aggregate is commutative, so for the same set of trials the
@@ -334,7 +334,7 @@ mod tests {
         for t in &trials {
             forward.absorb(t);
         }
-        // Reversed: a completion order work stealing could produce.
+        // Reversed: a completion order a parallel run could produce.
         let mut reversed = StreamReport::new("s");
         for t in trials.iter().rev() {
             reversed.absorb(t);

@@ -772,7 +772,7 @@ impl DetectionEngine {
                         } else {
                             stream
                         };
-                        crate::aho::find_sub(hay, &c.pattern, c.nocase, 0)
+                        crate::rule::find_sub(hay, &c.pattern, c.nocase, 0)
                     })
                     .unwrap_or(0) as u64;
                 self.tracer.record(TraceRecord {

@@ -15,8 +15,9 @@
 //! * [`rule`]/[`parser`] — a Snort-dialect rule language: actions, protocol
 //!   and address/port predicates with `$VAR` substitution and negation,
 //!   `content` matches with `nocase`/`offset`/`depth`, TCP `flags`,
-//!   `dsize`, `flow` state, and `threshold` rate limiting.
-//! * [`aho`] — the substring search that confirms one rule's content.
+//!   `dsize`, `flow` state, and `threshold` rate limiting;
+//!   [`rule::find_sub`] is the substring search that confirms one rule's
+//!   content.
 //! * [`dfa`] — an Aho–Corasick automaton flattened into a dense
 //!   byte-classed DFA with a root-row skip loop: the fast-pattern
 //!   prefilter used by the engine and the tap censor (Snort's
@@ -27,7 +28,6 @@
 //! * [`engine`] — rule evaluation over packets and reassembled streams,
 //!   producing [`alert::Alert`]s.
 
-pub mod aho;
 pub mod alert;
 pub mod dfa;
 pub mod engine;

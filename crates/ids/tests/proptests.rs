@@ -5,10 +5,9 @@
 
 use std::net::Ipv4Addr;
 
-use underradar_ids::aho::find_sub;
 use underradar_ids::engine::DetectionEngine;
 use underradar_ids::parser::{parse_rule, VarTable};
-use underradar_ids::rule::ContentMatch;
+use underradar_ids::rule::{find_sub, ContentMatch};
 use underradar_ids::stream::{Direction, FlowKey, StreamReassembler};
 use underradar_netsim::packet::Packet;
 use underradar_netsim::testprop::cases;

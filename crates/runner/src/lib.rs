@@ -5,16 +5,17 @@
 //!
 //! The run service: the one executor every campaign goes through. It
 //! drives the per-trial campaign engine ([`underradar_campaign::engine`])
-//! with work-stealing scheduling, streaming verdict rows, and an optional
+//! with one shared trial cursor, streaming verdict rows, and an optional
 //! checksummed checkpoint journal with crash recovery and exact resume.
 //!
 //! The engine makes each trial a pure function of the spec and its index;
 //! this crate schedules, commits and journals trials without giving that
 //! up. A campaign run through [`service::run_service`]:
 //!
-//! - schedules trials over per-worker deques with steal-half rebalancing
-//!   ([`underradar_campaign::steal`]), so a straggler cell never idles the
-//!   other workers;
+//! - schedules trials from one shared cursor
+//!   ([`underradar_campaign::sched::Cursor`]): each worker draws one trial
+//!   at a time and runs it to its final verdict, retries inline, so a
+//!   heavy cell never keeps other work waiting behind it;
 //! - streams each verdict row to a [`sink::RowSink`] (e.g. JSONL) the
 //!   moment its trial completes, with telemetry folded incrementally
 //!   through an order-independent [`underradar_telemetry::StreamMerger`],
@@ -23,9 +24,7 @@
 //!   length-prefixed, CRC-checked [`journal::Journal`], fsync'd on a
 //!   configurable cadence; a `kill -9` at any point costs at most the
 //!   unsynced tail, and reopening the journal resumes from the exact work
-//!   frontier (mid-retry, with backoff budgets intact);
-//! - re-enqueues `Inconclusive` trials at a global retry tail so
-//!   conclusive work finishes first.
+//!   frontier (mid-retry, with backoff budgets intact).
 //!
 //! [`service::run_in_memory`] is the same service with no journal and a
 //! sink that keeps every row, for callers that want the trials themselves

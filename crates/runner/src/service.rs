@@ -1,29 +1,28 @@
 //! The run service, the one executor every campaign goes through:
-//! work-stealing workers, a completion-order committer, and an optional
-//! checkpoint journal — composed so the final report and merged telemetry
-//! are **byte-identical** at any worker count, interrupted or not.
+//! workers drawing trials from one shared cursor, a completion-order
+//! committer, and an optional checkpoint journal — composed so the final
+//! report and merged telemetry are **byte-identical** at any worker
+//! count, interrupted or not.
 //!
 //! ## Architecture
 //!
 //! ```text
 //!  workers (scope threads)            committer (calling thread)
 //!  ┌─────────────────────┐  Msg  ┌──────────────────────────────┐
-//!  │ pop own deque       │ ────▶ │ journal.append_{complete,     │
-//!  │  └ steal half       │ chan  │                retry}         │
-//!  │   └ retry tail      │       │ sink.row (completion order)   │
-//!  │    └ exit           │       │ StreamReport / StreamMerger   │
+//!  │ draw from cursor    │ ────▶ │ journal.append_{complete,     │
+//!  │  └ run whole trial  │ chan  │                retry}         │
+//!  │    (retries inline) │       │ sink.row (completion order)   │
+//!  │   └ exit when drawn │       │ StreamReport / StreamMerger   │
 //!  └─────────────────────┘       └──────────────────────────────┘
 //! ```
 //!
-//! Workers drain their own deque front-first, steal half of the richest
-//! victim's deque when empty, then service the global **retry tail**:
-//! trials whose attempt came back `Inconclusive` are not retried inline
-//! (that would pin a straggler to one worker) but re-enqueued at the tail
-//! with their accumulated registry and next attempt number, so conclusive
-//! work finishes first and backoff budgets survive both stealing and
-//! resume. A worker exits only after deques *and* retry tail are empty at
-//! its own check — and every retry enqueue precedes the enqueuer's next
-//! check, so no retry is ever stranded.
+//! Each worker draws the next frontier position from one shared
+//! [`Cursor`] and runs that trial to its final verdict. An `Inconclusive`
+//! attempt is retried inline on the same worker; each retry decision is
+//! sent to the committer first, with the accumulated registry and the
+//! next attempt number, so the journal can record it. A worker holds one
+//! trial at a time, so a heavy trial never keeps other work waiting
+//! behind it, and a worker exits as soon as the cursor is exhausted.
 //!
 //! The committer runs on the calling thread (so a [`RowSink`] need not be
 //! `Send`): it journals each decision, streams the verdict row, and folds
@@ -40,19 +39,20 @@
 //!
 //! With a checkpoint path, completed trials replayed from the journal are
 //! absorbed directly (their journaled rows are **not** re-emitted to the
-//! sink — they streamed before the interruption), journaled retries seed
-//! the retry tail, and only the remaining frontier is scheduled. Memory
+//! sink — they streamed before the interruption), and only the remaining
+//! frontier is scheduled. A trial with a journaled retry starts from that
+//! record's attempt and accumulated registry instead of attempt 0. Memory
 //! stays bounded by the in-flight channel, never by campaign size.
 
-use std::collections::VecDeque;
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use underradar_campaign::engine::{self, AttemptOutcome, PolicyPrep, ScopeConfig};
+use underradar_campaign::engine::{self, PolicyPrep, ScopeConfig};
+use underradar_campaign::sched::Cursor;
 use underradar_campaign::{CampaignReport, CampaignSpec, StreamReport, Trial, TrialResult};
 use underradar_telemetry::{Registry, StreamMerger, Telemetry};
 
@@ -137,7 +137,9 @@ pub struct RunProfile {
     pub worker_busy_ns: Vec<u64>,
     /// Per-worker attempt counts.
     pub worker_attempts: Vec<u64>,
-    /// Successful steal-half operations across all workers.
+    /// Always 0: workers draw single trials from one shared cursor and
+    /// never take work from each other. Kept because the benchmark
+    /// harness still reports it.
     pub steals: u64,
     /// Retry handoffs the committer observed.
     pub retries_seen: u64,
@@ -154,7 +156,8 @@ pub struct ServiceOutcome {
     pub executed: usize,
     /// Trials restored from the journal instead of re-run.
     pub restored: usize,
-    /// Journaled retries whose accumulated state seeded the retry tail.
+    /// Trials resumed mid-retry: each started from its journaled attempt
+    /// and accumulated registry.
     pub resumed_retries: usize,
     /// Bytes of damaged journal tail discarded during recovery.
     pub journal_truncated: u64,
@@ -162,20 +165,11 @@ pub struct ServiceOutcome {
     pub profile: RunProfile,
 }
 
-/// A trial waiting on the retry tail: its next attempt and the registry
-/// its finished attempts accumulated.
-struct RetryTask {
-    index: usize,
-    attempt: u32,
-    acc: Registry,
-}
-
 /// Shared worker accounting, updated with relaxed atomics on the hot path
-/// (a fetch_add per attempt — negligible against a simulated trial).
+/// (two fetch_adds per trial — negligible against a simulated trial).
 struct WorkerStats {
     busy_ns: Vec<AtomicU64>,
     attempts: Vec<AtomicU64>,
-    steals: AtomicU64,
 }
 
 impl WorkerStats {
@@ -183,7 +177,6 @@ impl WorkerStats {
         WorkerStats {
             busy_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             attempts: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            steals: AtomicU64::new(0),
         }
     }
 }
@@ -246,11 +239,10 @@ impl ProgressState {
                     .to_string()
             })
             .collect();
-        let steals = stats.steals.load(Ordering::Relaxed);
         let line = format!(
             "{{\"done\":{done},\"elapsed_ms\":{elapsed_ms},\"eta_ms\":{eta_ms},\
              \"journal_lag\":{journal_lag},\"restored\":{restored},\"retries\":{retries},\
-             \"rows_per_sec\":{rows_per_sec},\"steals\":{steals},\"total\":{total},\
+             \"rows_per_sec\":{rows_per_sec},\"total\":{total},\
              \"worker_busy_permille\":[{}]}}",
             busy.join(",")
         );
@@ -279,7 +271,7 @@ enum Msg {
         result: Box<TrialResult>,
         acc: Box<Registry>,
     },
-    /// Trial `index` will run `next_attempt` later; `acc` snapshots the
+    /// Trial `index` will run `next_attempt` next; `acc` snapshots the
     /// registry accumulated so far, for the journal.
     Retry {
         index: usize,
@@ -288,7 +280,7 @@ enum Msg {
     },
 }
 
-/// Run `spec` as a durable service: schedule with work stealing, stream
+/// Run `spec` as a durable service: schedule from one shared cursor, stream
 /// rows into `sink` as trials complete, journal to `cfg.checkpoint`, and
 /// merge telemetry into `tel`. Resumes automatically when the journal
 /// already holds progress for this spec under the same telemetry scope
@@ -320,29 +312,21 @@ pub fn run_service(
         merger.absorb(*index, delta);
     }
 
-    // The remaining frontier: every trial with no complete record. Trials
-    // with a journaled retry resume mid-attempt via the retry tail; the
-    // rest start from attempt 0.
-    let mut remaining: Vec<usize> = Vec::new();
-    let mut seeded: VecDeque<RetryTask> = VecDeque::new();
-    for trial in &trials {
-        let index = trial.index;
-        if replay.completed.contains_key(&(index as u64)) {
-            continue;
-        }
-        if let Some((attempt, acc)) = replay.retries.get(&(index as u64)) {
-            seeded.push_back(RetryTask {
-                index,
-                attempt: *attempt,
-                acc: acc.clone(),
-            });
-        } else {
-            remaining.push(index);
-        }
-    }
-    let expected = remaining.len() + seeded.len();
+    // The remaining frontier: every trial with no complete record. A
+    // trial with a journaled retry starts from that record's attempt and
+    // accumulated registry; the rest start from attempt 0.
+    let frontier: Vec<usize> = trials
+        .iter()
+        .map(|t| t.index)
+        .filter(|index| !replay.completed.contains_key(&(*index as u64)))
+        .collect();
+    let resumed = &replay.retries;
+    let expected = frontier.len();
     let restored = replay.completed.len();
-    let resumed_retries = seeded.len();
+    let resumed_retries = frontier
+        .iter()
+        .filter(|index| resumed.contains_key(&(**index as u64)))
+        .count();
 
     let mut progress = cfg.progress.map(|p| ProgressState::new(p, run_start));
     let mut retries_seen = 0u64;
@@ -354,23 +338,20 @@ pub fn run_service(
         let preps = engine::prepare(spec);
         prepare_ms = prep_start.elapsed().as_millis() as u64;
         let workers = cfg.workers.clamp(1, expected);
-        let deques = underradar_campaign::steal::Deques::split(remaining.len(), workers, 0);
-        let retry_tail = Mutex::new(seeded);
+        let cursor = Cursor::new(expected);
         let (tx, rx) = mpsc::sync_channel::<Msg>(workers * 4);
 
         std::thread::scope(|scope| -> Result<(), JournalError> {
             for w in 0..workers {
                 let tx = tx.clone();
-                let deques = &deques;
-                let retry_tail = &retry_tail;
-                let remaining = &remaining;
+                let cursor = &cursor;
+                let frontier = &frontier;
                 let trials = &trials;
                 let preps = &preps;
                 let stats = &stats;
                 scope.spawn(move || {
                     worker_loop(
-                        w, spec, trials, preps, scope_cfg, deques, remaining, retry_tail, &tx,
-                        stats,
+                        w, spec, trials, preps, scope_cfg, cursor, frontier, resumed, &tx, stats,
                     );
                 });
             }
@@ -461,7 +442,7 @@ pub fn run_service(
         prepare_ms,
         worker_busy_ns: stats.busy_ns.iter_mut().map(|b| *b.get_mut()).collect(),
         worker_attempts: stats.attempts.iter_mut().map(|a| *a.get_mut()).collect(),
-        steals: *stats.steals.get_mut(),
+        steals: 0,
         retries_seen,
         snapshots: progress.as_ref().map(|p| p.snapshots).unwrap_or(0),
     };
@@ -491,9 +472,10 @@ pub fn run_in_memory(
     })
 }
 
-/// One worker: drain own deque, steal, then service the retry tail. Each
-/// unit of work is a *single attempt*; inconclusive attempts re-enqueue
-/// at the tail rather than looping inline.
+/// One worker: draw frontier positions from the cursor and run each
+/// trial to its final verdict, retries inline. Every retry decision goes
+/// to the committer before the next attempt runs, so the journal holds
+/// the start state a resume needs.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     w: usize,
@@ -501,106 +483,47 @@ fn worker_loop(
     trials: &[Trial],
     preps: &[PolicyPrep<'_>],
     scope_cfg: ScopeConfig,
-    deques: &underradar_campaign::steal::Deques,
-    remaining: &[usize],
-    retry_tail: &Mutex<VecDeque<RetryTask>>,
+    cursor: &Cursor,
+    frontier: &[usize],
+    resumed: &BTreeMap<u64, (u32, Registry)>,
     tx: &mpsc::SyncSender<Msg>,
     stats: &WorkerStats,
 ) {
-    loop {
-        let popped = deques.pop(w).or_else(|| {
-            let stolen = deques.steal(w);
-            if stolen.is_some() {
-                stats.steals.fetch_add(1, Ordering::Relaxed);
-            }
-            stolen
-        });
-        if let Some(chunk) = popped {
-            for &index in &remaining[chunk.start..chunk.end] {
-                let t0 = Instant::now();
-                let sent = attempt_once(
-                    spec,
-                    trials,
-                    preps,
-                    scope_cfg,
-                    retry_tail,
-                    tx,
+    while let Some(pos) = cursor.draw() {
+        let index = frontier[pos];
+        let trial = &trials[index];
+        let (attempt, acc) = resumed
+            .get(&(index as u64))
+            .map_or_else(|| (0, Registry::new()), |(a, acc)| (*a, acc.clone()));
+        let mut attempts = 1u64;
+        let t0 = Instant::now();
+        let (result, acc) = engine::run_trial_from(
+            spec,
+            &preps[trial.policy_idx],
+            trial,
+            scope_cfg,
+            attempt,
+            acc,
+            |next_attempt, acc| {
+                attempts += 1;
+                // A failed send means the committer has returned; the
+                // trial's final send below fails too and the worker stops.
+                let _ = tx.send(Msg::Retry {
                     index,
-                    0,
-                    Registry::new(),
-                );
-                stats.busy_ns[w].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                stats.attempts[w].fetch_add(1, Ordering::Relaxed);
-                if !sent {
-                    return;
-                }
-            }
-            continue;
-        }
-        let task = retry_tail.lock().expect("retry tail poisoned").pop_front();
-        match task {
-            Some(t) => {
-                let t0 = Instant::now();
-                let sent = attempt_once(
-                    spec, trials, preps, scope_cfg, retry_tail, tx, t.index, t.attempt, t.acc,
-                );
-                stats.busy_ns[w].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                stats.attempts[w].fetch_add(1, Ordering::Relaxed);
-                if !sent {
-                    return;
-                }
-            }
-            // Deques and retry tail both empty at this check: any retry
-            // enqueued concurrently is followed by its enqueuer's own
-            // check, so exiting here strands nothing.
-            None => return,
-        }
-    }
-}
-
-/// Run one attempt and hand its outcome to the committer. Returns `false`
-/// when the committer is gone (it failed and returned), so the worker
-/// stops.
-#[allow(clippy::too_many_arguments)]
-fn attempt_once(
-    spec: &CampaignSpec,
-    trials: &[Trial],
-    preps: &[PolicyPrep<'_>],
-    scope_cfg: ScopeConfig,
-    retry_tail: &Mutex<VecDeque<RetryTask>>,
-    tx: &mpsc::SyncSender<Msg>,
-    index: usize,
-    attempt: u32,
-    mut acc: Registry,
-) -> bool {
-    let trial = &trials[index];
-    let prep = &preps[trial.policy_idx];
-    match engine::run_trial_attempt(spec, prep, trial, attempt, &mut acc, scope_cfg) {
-        AttemptOutcome::Done(result) => tx
-            .send(Msg::Done {
-                index,
-                result,
-                acc: Box::new(acc),
-            })
-            .is_ok(),
-        AttemptOutcome::Retry { next_attempt } => {
-            let msg = Msg::Retry {
-                index,
-                next_attempt,
-                acc: Box::new(acc.clone()),
-            };
-            if tx.send(msg).is_err() {
-                return false;
-            }
-            retry_tail
-                .lock()
-                .expect("retry tail poisoned")
-                .push_back(RetryTask {
-                    index,
-                    attempt: next_attempt,
-                    acc,
+                    next_attempt,
+                    acc: Box::new(acc.clone()),
                 });
-            true
+            },
+        );
+        stats.busy_ns[w].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        stats.attempts[w].fetch_add(attempts, Ordering::Relaxed);
+        let done = Msg::Done {
+            index,
+            result: Box::new(result),
+            acc: Box::new(acc),
+        };
+        if tx.send(done).is_err() {
+            return;
         }
     }
 }

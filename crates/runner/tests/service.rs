@@ -42,8 +42,8 @@ fn spec() -> CampaignSpec {
         .run_secs(30)
 }
 
-/// A lossy matrix that actually exercises the retry tail: heavy client
-/// link loss drives `Inconclusive` verdicts into the backoff path.
+/// A lossy matrix that actually exercises retries: heavy client link
+/// loss drives `Inconclusive` verdicts into the backoff path.
 fn lossy_spec() -> CampaignSpec {
     CampaignSpec::new("service-lossy", 6)
         .targets(["twitter.com"])
@@ -192,7 +192,7 @@ fn one_and_many_workers_agree_with_and_without_checkpointing() {
 }
 
 #[test]
-fn retries_survive_the_tail_queue_and_match_the_reference() {
+fn inline_retries_match_the_reference() {
     let spec = lossy_spec();
     let tel = Telemetry::enabled();
     let (reference, _) = reference(&spec, &tel);
@@ -278,6 +278,50 @@ fn resume_mid_retry_preserves_backoff_budgets() {
         boundaries > trials + 1,
         "journal must contain retry records ({boundaries} boundaries, {trials} trials)"
     );
+}
+
+/// A journaled retry is the start state of its trial: a resume runs only
+/// the attempts the journal has not recorded. (Restarting the trial from
+/// attempt 0 would reproduce the same bytes, so only the attempt count
+/// can tell the two apart.)
+#[test]
+fn a_resumed_retry_runs_only_its_remaining_attempts() {
+    let spec = lossy_spec();
+    let path = tmp("retry-start");
+    let cfg = RunConfig::new(1).checkpoint(path.clone()).fsync_every(1);
+    let mut sink = CollectSink::new();
+    run_service(&spec, &cfg, &Telemetry::disabled(), &mut sink).expect("full run");
+    let full = std::fs::read(&path).expect("journal bytes");
+
+    // Cut the journal just after its first retry record (tag 2:
+    // index u64, next_attempt u32).
+    let mut pos = underradar_runner::journal::HEADER_LEN as usize;
+    let (cut, journaled_attempts) = loop {
+        let len =
+            u32::from_le_bytes([full[pos], full[pos + 1], full[pos + 2], full[pos + 3]]) as usize;
+        let payload = &full[pos + 8..pos + 8 + len];
+        pos += 8 + len;
+        if payload[0] == 2 {
+            let next = u32::from_le_bytes([payload[9], payload[10], payload[11], payload[12]]);
+            break (pos, u64::from(next));
+        }
+    };
+    std::fs::write(&path, &full[..cut]).expect("cut after the retry record");
+    let outcome =
+        run_service(&spec, &cfg, &Telemetry::disabled(), &mut CollectSink::new()).expect("resume");
+    assert_eq!(outcome.resumed_retries, 1);
+    // One worker completes trials in index order, so the rows after the
+    // restored ones are exactly the frontier.
+    let frontier_attempts: u64 = sink.rows[outcome.restored..]
+        .iter()
+        .map(|t| u64::from(t.retries) + 1)
+        .sum();
+    assert_eq!(
+        outcome.profile.worker_attempts.iter().sum::<u64>(),
+        frontier_attempts - journaled_attempts,
+        "the resumed trial skips the {journaled_attempts} journaled attempt(s)"
+    );
+    let _ = std::fs::remove_file(&path);
 }
 
 /// Mid-record kills (satellite 3, end to end): cut the journal at
@@ -375,6 +419,37 @@ fn service_outcome_carries_a_populated_profile() {
     assert!(p.worker_busy_ns.iter().sum::<u64>() > 0);
     assert!(p.wall_ms >= p.prepare_ms);
     assert_eq!(p.snapshots, 0, "no progress requested");
+}
+
+/// The inline retry loop counts each attempt once: the workers' attempt
+/// counts sum to one attempt per trial plus its retries, and the
+/// committer sees one retry handoff per retry.
+#[test]
+fn worker_attempts_and_retry_handoffs_add_up_to_the_trials_retries() {
+    let spec = lossy_spec();
+    for workers in [1, 2, 8] {
+        let mut sink = CollectSink::new();
+        let outcome = run_service(
+            &spec,
+            &RunConfig::new(workers),
+            &Telemetry::disabled(),
+            &mut sink,
+        )
+        .expect("service run");
+        let retries: u64 = sink.rows.iter().map(|t| u64::from(t.retries)).sum();
+        assert!(retries > 0, "lossy spec must exercise retries");
+        let p = &outcome.profile;
+        let attempts: u64 = p.worker_attempts.iter().sum();
+        assert_eq!(
+            attempts,
+            retries + sink.rows.len() as u64,
+            "{workers} workers: Σ worker_attempts == Σ (retries + 1)"
+        );
+        assert_eq!(
+            p.retries_seen, retries,
+            "{workers} workers: retries_seen == Σ retries"
+        );
+    }
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! value of the *last* merged snapshot, and flight-recorder trace records
 //! append in merge order. Merging per-trial registries in trial-index
 //! order after all trials finish would hide that, but it is an end-of-run
-//! barrier a streaming run service cannot afford: under work stealing
+//! barrier a streaming run service cannot afford: with several workers
 //! trials complete in arbitrary order and a 1M-trial run cannot buffer 1M
 //! registries to sort them.
 //!
@@ -131,7 +131,7 @@ mod tests {
     #[test]
     fn completion_order_absorb_equals_index_order_merge() {
         let n = 12u64;
-        // A scrambled completion order a work-stealing run could produce.
+        // A scrambled completion order a parallel run could produce.
         let mut order: Vec<u64> = (0..n).collect();
         order.reverse();
         order.swap(0, 7);

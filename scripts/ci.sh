@@ -183,12 +183,21 @@ echo "==> crash-resume smoke (SIGKILL mid-run, resume from journal, byte identit
 # A synthetic matrix big enough that the kill lands mid-run (~5s clean on
 # CI hardware); the resumed run must both restore journaled trials and
 # execute the remainder, and its stdout must match the uninterrupted run.
+# The kill waits on progress, not on a timer: it fires once the journal
+# holds >= 250 KB (about 1,000 scan records of ~247 B each, out of 30k),
+# so a faster host or scheduler cannot make it miss the middle of the
+# run. The wait is capped at 60 s.
 n=30000
 "$underradar" campaign --synthetic "$n" --shards 4 > "$tmpdir/service_clean.txt" 2>/dev/null
 "$underradar" campaign --synthetic "$n" --shards 4 \
   --checkpoint "$tmpdir/ckpt.journal" > /dev/null 2>&1 &
 victim=$!
-sleep 1.5
+journal_bytes() { if [ -f "$1" ]; then wc -c < "$1"; else echo 0; fi; }
+deadline=$((SECONDS + 60))
+while [ "$(journal_bytes "$tmpdir/ckpt.journal")" -lt 250000 ] \
+  && kill -0 "$victim" 2>/dev/null && [ "$SECONDS" -lt "$deadline" ]; do
+  sleep 0.05
+done
 kill -9 "$victim" 2>/dev/null || true
 wait "$victim" 2>/dev/null || true
 "$underradar" campaign --synthetic "$n" --shards 4 \
@@ -196,7 +205,7 @@ wait "$victim" 2>/dev/null || true
 cmp "$tmpdir/service_clean.txt" "$tmpdir/service_resumed.txt"
 grep -E 'service: [0-9]+ executed, [0-9]+ restored' "$tmpdir/service_resumed.err"
 if grep -qE 'service: 0 executed|service: [0-9]+ executed, 0 restored' "$tmpdir/service_resumed.err"; then
-  echo "crash-resume smoke did not exercise a mid-run kill (adjust n or the sleep)" >&2
+  echo "crash-resume smoke did not exercise a mid-run kill (adjust n or the journal threshold)" >&2
   exit 1
 fi
 
